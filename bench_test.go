@@ -337,7 +337,7 @@ func BenchmarkExtensionNightStudy(b *testing.B) {
 	}
 }
 
-// BenchmarkExtensionArrivalStudy drives Poisson arrivals through the DES.
+// BenchmarkExtensionArrivalStudy drives Poisson arrivals through the admission queue.
 func BenchmarkExtensionArrivalStudy(b *testing.B) {
 	p := qntn.DefaultParams()
 	var rows []experiments.ArrivalRow

@@ -611,7 +611,7 @@ func runLatency(w io.Writer, p qntn.Params, cfg qntn.ServeConfig, opt options) e
 			r.MaxLatency.Truncate(time.Microsecond).String(),
 		}
 	}
-	return experiments.RenderTable(w, "Extension — heralding latency and memory dephasing (DES serving)",
+	return experiments.RenderTable(w, "Extension — heralding latency and memory dephasing (protocol-layer serving)",
 		[]string{"architecture", "memory T2", "served", "fidelity", "mean latency", "max latency"}, cells)
 }
 
@@ -871,7 +871,7 @@ func runArrivals(w io.Writer, p qntn.Params, duration time.Duration, seed int64)
 			fmt.Sprintf("%.4f", r.MeanFidelity),
 		}
 	}
-	return experiments.RenderTable(w, "Extension — Poisson arrivals through the DES (queueing dynamics)",
+	return experiments.RenderTable(w, "Extension — Poisson arrivals with a simulated queue (queueing dynamics)",
 		[]string{"architecture", "rate", "served", "immediate", "mean wait", "max queue", "fidelity"}, cells)
 }
 

@@ -6,6 +6,8 @@ import (
 
 	"qntn/internal/qntn"
 	"qntn/internal/quantum"
+	"qntn/internal/quantum/protocol"
+	"qntn/internal/stats"
 )
 
 // LatencyRow reports one (architecture, memory quality) cell of the
@@ -19,10 +21,13 @@ type LatencyRow struct {
 	MaxLatency    time.Duration
 }
 
-// ExtensionLatencyStudy runs the event-driven serving experiment with
-// heralding latency and memory dephasing — the paper's latency discussion
-// (§II-D) made quantitative. For each architecture and each memory
-// coherence time, it reports serving, fidelity, and latency statistics.
+// ExtensionLatencyStudy runs the serving experiment with heralding latency
+// and memory dephasing — the paper's latency discussion (§II-D) made
+// quantitative. For each architecture and each memory coherence time, it
+// runs RunServe with the entanglement-protocol layer set to deterministic
+// swaps, no purification and that T2, and reports serving, fidelity, and
+// the heralding latency (PathLengthM + HeraldingLatency) of every served
+// request's path at its serving instant.
 func ExtensionLatencyStudy(p qntn.Params, nSats int, cfg qntn.ServeConfig, t2s []time.Duration) ([]LatencyRow, error) {
 	type arch struct {
 		name  string
@@ -36,23 +41,40 @@ func ExtensionLatencyStudy(p qntn.Params, nSats int, cfg qntn.ServeConfig, t2s [
 	for _, a := range archs {
 		for _, t2 := range t2s {
 			pp := p
-			pp.MemoryT2 = t2
+			pp.Protocol = protocol.Config{MemoryT2: t2, SwapSuccess: 1, PurifyPaths: 1}
 			sc, err := a.build(pp)
 			if err != nil {
 				return nil, err
 			}
-			res, err := sc.RunServeDES(cfg)
+			res, err := sc.RunServe(cfg)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: latency study (%s, T2=%v): %w", a.name, t2, err)
 			}
-			rows = append(rows, LatencyRow{
+			row := LatencyRow{
 				Architecture:  a.name,
 				MemoryT2:      t2,
 				ServedPercent: res.ServedPercent,
 				MeanFidelity:  res.MeanFidelity,
-				MeanLatency:   res.MeanLatency,
-				MaxLatency:    res.MaxLatency,
-			})
+			}
+			var latencies []float64
+			for _, o := range res.Metrics.Outcomes {
+				if !o.Served {
+					continue
+				}
+				lengthM, err := sc.PathLengthM(o.Path, o.At)
+				if err != nil {
+					return nil, fmt.Errorf("experiments: latency study (%s, T2=%v): %w", a.name, t2, err)
+				}
+				latency := sc.HeraldingLatency(lengthM, len(o.Path)-1)
+				latencies = append(latencies, latency.Seconds())
+				if latency > row.MaxLatency {
+					row.MaxLatency = latency
+				}
+			}
+			if len(latencies) > 0 {
+				row.MeanLatency = time.Duration(stats.Mean(latencies) * float64(time.Second))
+			}
+			rows = append(rows, row)
 		}
 	}
 	return rows, nil

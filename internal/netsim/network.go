@@ -1,3 +1,14 @@
+// Package netsim is the quantum-network model that replaces the paper's
+// upgraded QuNetSim: typed nodes (ground hosts, satellites, HAPs) with
+// time-dependent positions, dynamic link evaluation against a pluggable link
+// model, per-instant topology snapshots, link-churn tracking, and
+// request/served bookkeeping.
+//
+// Where QuNetSim moves satellites with a background thread, netsim has no
+// clock of its own: a snapshot is a pure function of the virtual time it is
+// taken at. The run loops in internal/qntn advance the topology in fixed
+// steps (the paper's 30-second satellite movement steps) and attempt
+// requests on each snapshot, so runs are exactly reproducible.
 package netsim
 
 import (
@@ -305,12 +316,6 @@ type Outcome struct {
 	Path     []string
 	// EndToEndEta is the product of link transmissivities along Path.
 	EndToEndEta float64
-	// PathLengthM is the summed geometric length of the path's hops at
-	// the serving instant (0 when not computed by the experiment).
-	PathLengthM float64
-	// Latency is the heralding latency charged to the request (0 when
-	// the experiment does not model time).
-	Latency time.Duration
 }
 
 // Metrics accumulates outcomes across a run.

@@ -73,22 +73,22 @@ type queuedRequest struct {
 }
 
 // admission is the batched request-scheduling core shared by RunArrivals
-// and RunTraffic: one pooled graph rebuilt in place at each topology
-// instant (the GraphInto/SnapshotInto fast path, spatial index included),
-// a single-source Dijkstra memo valid until the next rebuild, and the FIFO
-// wait queue with its drain loop. Batching admission per topology update
-// keeps the per-step cost amortized: the graph storage, the memo map and
-// the queue backing array are all reused across the run.
+// and RunTraffic: the run's topology source (topology.go) refreshed at each
+// update instant, a single-source Dijkstra memo valid until the next
+// refresh, and the FIFO wait queue with its drain loop. Batching admission
+// per topology update keeps the per-step cost amortized: the graph
+// storage, the memo map and the queue backing array are all reused across
+// the run.
 type admission struct {
 	sc    *Scenario
-	graph *routing.Graph
+	graph *routing.Graph // the current topology, owned by the source
 	memo  map[string]*routing.SingleSourceResult
 	queue []queuedRequest
-	// pe is nil unless the entanglement-protocol layer is enabled; a
-	// request whose protocol attempt fails stays queued and redraws at the
-	// next drain instant (PairKey includes the evaluation time).
-	pe    *protoEval
-	proto protoOutcome // accumulated draw counters over the run
+	// ev evaluates each routed attempt; a request whose protocol attempt
+	// fails stays queued and redraws at the next drain instant (PairKey
+	// includes the evaluation time).
+	ev    *evaluator
+	proto evaluation // accumulated draw counters over the run
 
 	served    int
 	immediate int
@@ -102,25 +102,64 @@ type admission struct {
 
 func newAdmission(sc *Scenario) *admission {
 	return &admission{
-		sc:    sc,
-		graph: routing.NewGraph(),
-		memo:  make(map[string]*routing.SingleSourceResult),
-		pe:    sc.newProtoEval(),
+		sc:   sc,
+		memo: make(map[string]*routing.SingleSourceResult),
+		ev:   sc.newEvaluator(),
 	}
 }
 
-// refresh rebuilds the topology at t into the pooled graph and invalidates
-// the routing memo. A non-nil st routes the rebuild through
-// SnapshotIntoStats so instrumented runs get per-step evaluator counters.
-func (ad *admission) refresh(t time.Duration, st *netsim.SnapshotStats) error {
-	if st != nil {
-		if err := ad.sc.Net.SnapshotIntoStats(ad.graph, t, st); err != nil {
-			return err
-		}
-	} else if err := ad.sc.GraphInto(ad.graph, t); err != nil {
+// arrival is one request of an admission run's time-sorted arrival stream.
+type arrival struct {
+	at   time.Duration
+	site int // RunTraffic's canonical site index, the merge tie-breaker
+	req  netsim.Request
+}
+
+// updateGrid returns the topology-update grid of an admission run: one
+// update every Params.TopologyStep from 0 through the horizon inclusive.
+func (sc *Scenario) updateGrid(horizon time.Duration) sampleGrid {
+	step := sc.Params.TopologyStep()
+	return sampleGrid{gap: step, steps: int(horizon/step) + 1}
+}
+
+// run is the admission loop: a deterministic two-stream merge of the
+// topology updates on grid with the time-sorted arrivals. Each update
+// refreshes the topology, invalidates the routing memo and drains the
+// queue, then calls onStep (when non-nil) with the update's step index,
+// instant, snapshot stats and the number of arrivals admitted so far. At a
+// time tie the update runs first — the order of the retired event-heap
+// implementation, which enqueued every update before any arrival — so
+// results are byte-identical to the reference in arrivals_ref_test.go.
+func (ad *admission) run(grid sampleGrid, arrivals []arrival, onStep func(k int, at time.Duration, st *netsim.SnapshotStats, admitted int)) error {
+	src, err := ad.sc.topology(grid)
+	if err != nil {
 		return err
 	}
-	clear(ad.memo)
+	defer src.Close()
+	k, i := 0, 0
+	for k < grid.steps || i < len(arrivals) {
+		if k < grid.steps && (i >= len(arrivals) || grid.at(k) <= arrivals[i].at) {
+			g, st, err := src.step(k)
+			if err != nil {
+				return err
+			}
+			at := grid.at(k)
+			ad.graph = g
+			clear(ad.memo)
+			if _, err := ad.drain(at); err != nil {
+				return err
+			}
+			if onStep != nil {
+				onStep(k, at, st, i)
+			}
+			k++
+		} else {
+			if err := ad.arrive(arrivals[i].at, arrivals[i].req); err != nil {
+				return err
+			}
+			i++
+		}
+	}
 	return nil
 }
 
@@ -145,26 +184,15 @@ func (ad *admission) tryServe(now time.Duration, q queuedRequest, onArrival bool
 	if err != nil {
 		return false, err
 	}
-	etas, err := ad.graph.EdgeEtas(path)
+	e, err := ad.ev.evaluate(ad.graph, path, q.req, now)
 	if err != nil {
 		return false, err
 	}
-	f := PathFidelity(etas, ad.sc.Params.FidelityModel)
-	if ad.pe != nil {
-		po, err := ad.pe.outcome(ad.graph, path, q.req, now)
-		if err != nil {
-			return false, err
-		}
-		ad.proto.swapAttempts += po.swapAttempts
-		ad.proto.swapFailures += po.swapFailures
-		ad.proto.purifyRounds += po.purifyRounds
-		ad.proto.purifyAccepted += po.purifyAccepted
-		if !po.served {
-			// Swap chain or distillation failed: the request stays queued
-			// and redraws at the next topology instant.
-			return false, nil
-		}
-		f = po.fidelity
+	ad.proto.add(&e)
+	if !e.served {
+		// Swap chain or distillation failed: the request stays queued and
+		// redraws at the next topology instant.
+		return false, nil
 	}
 	wait := now - q.arrived
 	ad.served++
@@ -175,8 +203,8 @@ func (ad *admission) tryServe(now time.Duration, q queuedRequest, onArrival bool
 	if wait > ad.maxWait {
 		ad.maxWait = wait
 	}
-	ad.fids = append(ad.fids, f)
-	ad.fidSum += f
+	ad.fids = append(ad.fids, e.fidelity)
+	ad.fidSum += e.fidelity
 	return true, nil
 }
 
@@ -216,21 +244,24 @@ func (ad *admission) drain(now time.Duration) (int, error) {
 	return ad.served - before, nil
 }
 
+// validate checks the arrival shape. The negated comparison rejects NaN,
+// and an infinite rate would make every interarrival gap zero: either way
+// the Poisson generator would never pass the horizon.
+func (cfg ArrivalConfig) validate() error {
+	if !(cfg.RatePerHour > 0) || math.IsInf(cfg.RatePerHour, 1) {
+		return fmt.Errorf("qntn: arrival rate must be positive and finite, got %g", cfg.RatePerHour)
+	}
+	return nil
+}
+
 // RunArrivals executes the arrival-driven experiment: Poisson arrivals
 // interleave with the periodic topology updates; each arrival is served
 // against the most recent topology or queued, and every topology update
 // drains the queue of newly reachable requests. All randomness is seeded;
 // runs are reproducible.
-//
-// The loop is a deterministic two-stream merge over the pooled-snapshot
-// fast path. It replays the retired event-heap implementation exactly —
-// same arrival draws, same update instants (0, step, … ≤ Horizon), and at
-// a time tie the update runs first, the heap's FIFO order when every
-// update was enqueued before any arrival — so results are byte-identical
-// to the reference (see the differential test in arrivals_ref_test.go).
 func (sc *Scenario) RunArrivals(cfg ArrivalConfig) (*ArrivalResult, error) {
-	if cfg.RatePerHour <= 0 {
-		return nil, fmt.Errorf("qntn: arrival rate must be positive")
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
 	if cfg.Horizon <= 0 {
 		cfg.Horizon = 24 * time.Hour
@@ -243,40 +274,26 @@ func (sc *Scenario) RunArrivals(cfg ArrivalConfig) (*ArrivalResult, error) {
 	}
 
 	// Poisson arrival instants: exponential interarrivals, drawn in the
-	// exact order the event-heap implementation drew them.
+	// exact order the event-heap implementation drew them; requests come
+	// from the workload's own generator in arrival order.
 	meanGapS := 3600 / cfg.RatePerHour
-	var arrivals []time.Duration
+	var arrivals []arrival
 	for at := time.Duration(0); ; {
 		at += time.Duration(rng.ExpFloat64() * meanGapS * float64(time.Second))
 		if at >= cfg.Horizon {
 			break
 		}
-		arrivals = append(arrivals, at)
+		arrivals = append(arrivals, arrival{at: at, req: wl.Next()})
 	}
 
 	ad := newAdmission(sc)
-	step := sc.Params.TopologyStep()
-	next := time.Duration(0) // next topology-update instant
-	i := 0
-	for next <= cfg.Horizon || i < len(arrivals) {
-		if next <= cfg.Horizon && (i >= len(arrivals) || next <= arrivals[i]) {
-			if err := ad.refresh(next, nil); err != nil {
-				return nil, err
-			}
-			if _, err := ad.drain(next); err != nil {
-				return nil, err
-			}
-			next += step
-		} else {
-			res.Arrivals++
-			if err := ad.arrive(arrivals[i], wl.Next()); err != nil {
-				return nil, err
-			}
-			i++
-		}
-		res.EventsProcessed++
+	grid := sc.updateGrid(cfg.Horizon)
+	if err := ad.run(grid, arrivals, nil); err != nil {
+		return nil, err
 	}
 
+	res.Arrivals = len(arrivals)
+	res.EventsProcessed = len(arrivals) + grid.steps
 	res.Served = ad.served
 	res.ServedImmediately = ad.immediate
 	res.RequestsEvaluated = ad.evaluated

@@ -1,6 +1,8 @@
 package qntn
 
 import (
+	"container/heap"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -14,7 +16,7 @@ import (
 
 // runArrivalsReference is the retired event-heap implementation of
 // RunArrivals, kept verbatim as the differential oracle for the pooled
-// fast-path rewrite: fresh sc.Graph per topology update, netsim.Simulator
+// fast-path rewrite: fresh sc.Graph per topology update, refSimulator
 // event ordering, per-update Dijkstra memo. The only additions are the
 // RequestsEvaluated counter and serve-site immediate classification, both
 // of which are provably identical to the old accounting under the heap's
@@ -30,7 +32,7 @@ func runArrivalsReference(sc *Scenario, cfg ArrivalConfig) (*ArrivalResult, erro
 		return nil, err
 	}
 
-	sim := netsim.NewSimulator()
+	sim := newRefSimulator()
 	var simErr error
 
 	var graph *routing.Graph
@@ -38,7 +40,7 @@ func runArrivalsReference(sc *Scenario, cfg ArrivalConfig) (*ArrivalResult, erro
 	var queue []queuedRequest
 	var waits, fids []float64
 
-	refreshTopology := func(s *netsim.Simulator) bool {
+	refreshTopology := func(s *refSimulator) bool {
 		g, err := sc.Graph(s.Now())
 		if err != nil {
 			simErr = err
@@ -87,7 +89,7 @@ func runArrivalsReference(sc *Scenario, cfg ArrivalConfig) (*ArrivalResult, erro
 	}
 
 	step := sc.Params.TopologyStep()
-	if err := sim.ScheduleEvery(0, step, cfg.Horizon, "topology-update", func(s *netsim.Simulator) {
+	if err := sim.ScheduleEvery(0, step, cfg.Horizon, "topology-update", func(s *refSimulator) {
 		if !refreshTopology(s) {
 			return
 		}
@@ -115,7 +117,7 @@ func runArrivalsReference(sc *Scenario, cfg ArrivalConfig) (*ArrivalResult, erro
 		if at >= cfg.Horizon {
 			break
 		}
-		if err := sim.Schedule(at, "arrival", func(s *netsim.Simulator) {
+		if err := sim.Schedule(at, "arrival", func(s *refSimulator) {
 			res.Arrivals++
 			q := queuedRequest{req: wl.Next(), arrived: s.Now()}
 			ok, err := tryServe(s.Now(), q, true)
@@ -200,8 +202,8 @@ func TestRunArrivalsMatchesReference(t *testing.T) {
 }
 
 // TestRunArrivalsZeroStepInterval pins the cadence fallback: a zero
-// StepInterval on hand-mutated params used to feed ScheduleEvery a
-// degenerate interval and error out; it must now fall back to the 30 s
+// StepInterval on hand-mutated params once fed the event heap a
+// degenerate interval and errored out; it must fall back to the 30 s
 // default through Params.TopologyStep like every other run path.
 func TestRunArrivalsZeroStepInterval(t *testing.T) {
 	sc, err := NewAirGround(DefaultParams())
@@ -245,7 +247,8 @@ func TestArrivalImmediateClassificationBoundary(t *testing.T) {
 
 	ad := newAdmission(sc)
 	at := 30 * time.Second
-	if err := ad.refresh(at, nil); err != nil {
+	ad.graph = routing.NewGraph()
+	if err := sc.GraphInto(ad.graph, at); err != nil {
 		t.Fatal(err)
 	}
 
@@ -272,5 +275,257 @@ func TestArrivalImmediateClassificationBoundary(t *testing.T) {
 	}
 	if ad.served != 2 || ad.immediate != 1 {
 		t.Fatalf("arrival-handler serve should be immediate: served %d immediate %d", ad.served, ad.immediate)
+	}
+}
+
+// The reference's event heap: the deterministic discrete-event executor
+// that once drove the run loops, kept here verbatim (identifiers renamed)
+// because runArrivalsReference depends on its exact ordering — time, then
+// FIFO among simultaneous events.
+
+// refEvent is a scheduled callback.
+type refEvent struct {
+	At   time.Duration
+	Name string
+	Fn   func(*refSimulator)
+	seq  int
+}
+
+type refEventHeap []*refEvent
+
+func (h refEventHeap) Len() int { return len(h) }
+func (h refEventHeap) Less(i, j int) bool {
+	if h[i].At != h[j].At {
+		return h[i].At < h[j].At
+	}
+	return h[i].seq < h[j].seq // FIFO among simultaneous events
+}
+func (h refEventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *refEventHeap) Push(x any)   { *h = append(*h, x.(*refEvent)) }
+func (h *refEventHeap) Pop() any {
+	old := *h
+	n := len(old)
+	e := old[n-1]
+	*h = old[:n-1]
+	return e
+}
+
+// refSimulator is a deterministic discrete-event executor over virtual time.
+type refSimulator struct {
+	now     time.Duration
+	queue   refEventHeap
+	nextSeq int
+	stopped bool
+	// Processed counts executed events (for diagnostics and tests).
+	Processed int
+}
+
+// newRefSimulator returns a simulator at virtual time zero.
+func newRefSimulator() *refSimulator {
+	return &refSimulator{}
+}
+
+// Now returns the current virtual time.
+func (s *refSimulator) Now() time.Duration { return s.now }
+
+// Schedule enqueues fn to run at virtual time at. Scheduling in the past is
+// an error.
+func (s *refSimulator) Schedule(at time.Duration, name string, fn func(*refSimulator)) error {
+	if at < s.now {
+		return fmt.Errorf("netsim: cannot schedule %q at %v, now is %v", name, at, s.now)
+	}
+	if fn == nil {
+		return fmt.Errorf("netsim: nil event function for %q", name)
+	}
+	heap.Push(&s.queue, &refEvent{At: at, Name: name, Fn: fn, seq: s.nextSeq})
+	s.nextSeq++
+	return nil
+}
+
+// ScheduleEvery enqueues fn at start, start+interval, ... up to and
+// including end.
+func (s *refSimulator) ScheduleEvery(start, interval, end time.Duration, name string, fn func(*refSimulator)) error {
+	if interval <= 0 {
+		return fmt.Errorf("netsim: non-positive interval %v for %q", interval, name)
+	}
+	for at := start; at <= end; at += interval {
+		if err := s.Schedule(at, name, fn); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Stop halts the run loop after the current event completes.
+func (s *refSimulator) Stop() { s.stopped = true }
+
+// Run executes events in time order until the queue empties, an event past
+// `until` is reached (which remains queued), or Stop is called.
+func (s *refSimulator) Run(until time.Duration) error {
+	s.stopped = false
+	for len(s.queue) > 0 && !s.stopped {
+		next := s.queue[0]
+		if next.At > until {
+			break
+		}
+		heap.Pop(&s.queue)
+		if next.At < s.now {
+			return fmt.Errorf("netsim: event %q would move time backwards", next.Name)
+		}
+		s.now = next.At
+		s.Processed++
+		next.Fn(s)
+	}
+	if !s.stopped && s.now < until {
+		s.now = until
+	}
+	return nil
+}
+
+// Pending returns the number of queued events.
+func (s *refSimulator) Pending() int { return len(s.queue) }
+
+func TestSimulatorOrdersEvents(t *testing.T) {
+	s := newRefSimulator()
+	var order []string
+	add := func(name string) func(*refSimulator) {
+		return func(*refSimulator) { order = append(order, name) }
+	}
+	if err := s.Schedule(30*time.Second, "b", add("b")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Schedule(10*time.Second, "a", add("a")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Schedule(30*time.Second, "c", add("c")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Run(time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if len(order) != 3 || order[0] != "a" || order[1] != "b" || order[2] != "c" {
+		t.Fatalf("execution order %v", order)
+	}
+	if s.Now() != time.Minute {
+		t.Fatalf("final time %v", s.Now())
+	}
+	if s.Processed != 3 {
+		t.Fatalf("processed %d", s.Processed)
+	}
+}
+
+func TestSimulatorSimultaneousEventsFIFO(t *testing.T) {
+	s := newRefSimulator()
+	var order []int
+	for i := 0; i < 5; i++ {
+		i := i
+		if err := s.Schedule(time.Second, "e", func(*refSimulator) { order = append(order, i) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Run(time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range order {
+		if v != i {
+			t.Fatalf("FIFO violated: %v", order)
+		}
+	}
+}
+
+func TestSimulatorRejectsPastEvents(t *testing.T) {
+	s := newRefSimulator()
+	if err := s.Schedule(time.Minute, "x", func(*refSimulator) {}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Run(2 * time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Schedule(time.Second, "past", func(*refSimulator) {}); err == nil {
+		t.Fatal("past event accepted")
+	}
+	if err := s.Schedule(time.Minute, "nil", nil); err == nil {
+		t.Fatal("nil event accepted")
+	}
+}
+
+func TestSimulatorRunUntilLeavesFutureEvents(t *testing.T) {
+	s := newRefSimulator()
+	ran := 0
+	for _, at := range []time.Duration{time.Second, time.Hour} {
+		if err := s.Schedule(at, "e", func(*refSimulator) { ran++ }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Run(time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if ran != 1 || s.Pending() != 1 {
+		t.Fatalf("ran=%d pending=%d", ran, s.Pending())
+	}
+	// Resume.
+	if err := s.Run(2 * time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	if ran != 2 {
+		t.Fatalf("ran=%d after resume", ran)
+	}
+}
+
+func TestSimulatorStop(t *testing.T) {
+	s := newRefSimulator()
+	ran := 0
+	_ = s.Schedule(time.Second, "a", func(sim *refSimulator) { ran++; sim.Stop() })
+	_ = s.Schedule(2*time.Second, "b", func(*refSimulator) { ran++ })
+	if err := s.Run(time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if ran != 1 {
+		t.Fatalf("stop did not halt the loop, ran=%d", ran)
+	}
+	if s.Pending() != 1 {
+		t.Fatalf("pending=%d", s.Pending())
+	}
+}
+
+func TestSimulatorEventsCanSchedule(t *testing.T) {
+	s := newRefSimulator()
+	var ticks []time.Duration
+	var tick func(*refSimulator)
+	tick = func(sim *refSimulator) {
+		ticks = append(ticks, sim.Now())
+		if sim.Now() < 90*time.Second {
+			_ = sim.Schedule(sim.Now()+30*time.Second, "tick", tick)
+		}
+	}
+	_ = s.Schedule(0, "tick", tick)
+	if err := s.Run(time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	want := []time.Duration{0, 30 * time.Second, 60 * time.Second, 90 * time.Second}
+	if len(ticks) != len(want) {
+		t.Fatalf("ticks %v", ticks)
+	}
+	for i := range want {
+		if ticks[i] != want[i] {
+			t.Fatalf("ticks %v", ticks)
+		}
+	}
+}
+
+func TestScheduleEvery(t *testing.T) {
+	s := newRefSimulator()
+	n := 0
+	if err := s.ScheduleEvery(0, 30*time.Second, 5*time.Minute, "step", func(*refSimulator) { n++ }); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Run(time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	if n != 11 {
+		t.Fatalf("step count %d, want 11", n)
+	}
+	if err := s.ScheduleEvery(0, 0, time.Minute, "bad", func(*refSimulator) {}); err == nil {
+		t.Fatal("zero interval accepted")
 	}
 }

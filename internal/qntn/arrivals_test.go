@@ -1,6 +1,7 @@
 package qntn
 
 import (
+	"math"
 	"testing"
 	"time"
 )
@@ -103,6 +104,35 @@ func TestRunArrivalsRejectsBadConfig(t *testing.T) {
 	}
 	if _, err := sc.RunArrivals(ArrivalConfig{RatePerHour: 0, Horizon: time.Hour}); err == nil {
 		t.Fatal("zero rate accepted")
+	}
+}
+
+// TestRunArrivalsRejectsNonFiniteRate: a NaN rate once slipped past the
+// positivity check and an infinite one made every interarrival gap zero;
+// either way the Poisson generator never reached the horizon. Each must
+// now be rejected promptly.
+func TestRunArrivalsRejectsNonFiniteRate(t *testing.T) {
+	sc, err := NewAirGround(DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		rate float64
+	}{
+		{"NaN", math.NaN()},
+		{"+Inf", math.Inf(1)},
+		{"-Inf", math.Inf(-1)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var err error
+			withinDeadline(t, 10*time.Second, func() {
+				_, err = sc.RunArrivals(ArrivalConfig{RatePerHour: tc.rate, Horizon: time.Hour, Seed: 1})
+			})
+			if err == nil {
+				t.Fatalf("rate %v accepted", tc.rate)
+			}
+		})
 	}
 }
 

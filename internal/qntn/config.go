@@ -12,7 +12,10 @@ import (
 )
 
 // paramsJSON is the serialized form of Params: durations in seconds,
-// enums as strings, turbulence optional.
+// enums as strings, turbulence optional. The top-level memory_t2_s is
+// retired: SaveParams no longer writes it, and LoadParams accepts only the
+// 0 every earlier file carries (memory noise lives in
+// protocol.memory_t2_s).
 type paramsJSON struct {
 	WavelengthNM            float64    `json:"wavelength_nm"`
 	GroundApertureRadiusM   float64    `json:"ground_aperture_radius_m"`
@@ -34,7 +37,7 @@ type paramsJSON struct {
 	HAPLonDeg               float64    `json:"hap_lon_deg"`
 	HAPAltKM                float64    `json:"hap_alt_km"`
 	StepIntervalS           float64    `json:"step_interval_s"`
-	MemoryT2S               float64    `json:"memory_t2_s"`
+	MemoryT2S               *float64   `json:"memory_t2_s,omitempty"` // retired: only a legacy 0 loads
 	ProcessingDelayPerHopS  float64    `json:"processing_delay_per_hop_s"`
 	RequireDarkness         bool       `json:"require_darkness"`
 	TwilightDeg             float64    `json:"twilight_deg"`
@@ -156,7 +159,6 @@ func SaveParams(w io.Writer, p Params) error {
 		HAPLonDeg:               p.HAPLonDeg,
 		HAPAltKM:                p.HAPAltM / 1000,
 		StepIntervalS:           p.StepInterval.Seconds(),
-		MemoryT2S:               p.MemoryT2.Seconds(),
 		ProcessingDelayPerHopS:  p.ProcessingDelayPerHop.Seconds(),
 		RequireDarkness:         p.RequireDarkness,
 		TwilightDeg:             p.TwilightRad * degPerRad,
@@ -209,6 +211,9 @@ func LoadParams(r io.Reader) (Params, error) {
 	if err := dec.Decode(&j); err != nil {
 		return Params{}, fmt.Errorf("qntn: parse params: %w", err)
 	}
+	if j.MemoryT2S != nil && *j.MemoryT2S != 0 {
+		return Params{}, fmt.Errorf("qntn: top-level memory_t2_s %g is no longer supported; set protocol.memory_t2_s", *j.MemoryT2S)
+	}
 	p := Params{
 		WavelengthM:             j.WavelengthNM * 1e-9,
 		GroundApertureRadiusM:   j.GroundApertureRadiusM,
@@ -229,7 +234,6 @@ func LoadParams(r io.Reader) (Params, error) {
 		HAPLonDeg:               j.HAPLonDeg,
 		HAPAltM:                 j.HAPAltKM * 1000,
 		StepInterval:            time.Duration(j.StepIntervalS * float64(time.Second)),
-		MemoryT2:                time.Duration(j.MemoryT2S * float64(time.Second)),
 		ProcessingDelayPerHop:   time.Duration(j.ProcessingDelayPerHopS * float64(time.Second)),
 		RequireDarkness:         j.RequireDarkness,
 		TwilightRad:             j.TwilightDeg / degPerRad,

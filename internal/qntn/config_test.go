@@ -2,17 +2,19 @@ package qntn
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
 	"time"
 
 	"qntn/internal/atmosphere"
+	"qntn/internal/quantum/protocol"
 )
 
 func TestParamsJSONRoundTrip(t *testing.T) {
 	orig := DefaultParams()
-	orig.MemoryT2 = 42 * time.Millisecond
+	orig.ProcessingDelayPerHop = 42 * time.Millisecond
 	orig.RequireDarkness = true
 	orig.TwilightRad = 0.2
 	hv := atmosphere.HV57().Scaled(0.5)
@@ -37,8 +39,8 @@ func TestParamsJSONRoundTrip(t *testing.T) {
 	if math.Abs(got.MinElevationRad-orig.MinElevationRad) > 1e-12 {
 		t.Fatalf("elevation %g vs %g", got.MinElevationRad, orig.MinElevationRad)
 	}
-	if got.StepInterval != orig.StepInterval || got.MemoryT2 != orig.MemoryT2 {
-		t.Fatalf("durations drifted: %v/%v vs %v/%v", got.StepInterval, got.MemoryT2, orig.StepInterval, orig.MemoryT2)
+	if got.StepInterval != orig.StepInterval || got.ProcessingDelayPerHop != orig.ProcessingDelayPerHop {
+		t.Fatalf("durations drifted: %v/%v vs %v/%v", got.StepInterval, got.ProcessingDelayPerHop, orig.StepInterval, orig.ProcessingDelayPerHop)
 	}
 	if !got.RequireDarkness || math.Abs(got.TwilightRad-orig.TwilightRad) > 1e-12 {
 		t.Fatal("darkness fields drifted")
@@ -94,5 +96,47 @@ func TestLoadParamsDefaultsFidelityModel(t *testing.T) {
 	}
 	if got.FidelityModel != SourceAtBestSplit {
 		t.Fatal("empty model should default to best-split")
+	}
+}
+
+// TestParamsMemoryT2Retired pins the retired top-level memory_t2_s: memory
+// noise lives only in the protocol block, so SaveParams no longer writes
+// the field, LoadParams still accepts the 0 every earlier file carries,
+// and a non-zero value is rejected with an error naming its replacement.
+func TestParamsMemoryT2Retired(t *testing.T) {
+	p := DefaultParams()
+	p.Protocol = protocol.Config{MemoryT2: 20 * time.Millisecond, SwapSuccess: 0.9}
+	var buf bytes.Buffer
+	if err := SaveParams(&buf, p); err != nil {
+		t.Fatal(err)
+	}
+	var top map[string]json.RawMessage
+	if err := json.Unmarshal(buf.Bytes(), &top); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := top["memory_t2_s"]; ok {
+		t.Fatalf("SaveParams wrote the top-level memory_t2_s:\n%s", buf.String())
+	}
+	if !strings.Contains(string(top["protocol"]), `"memory_t2_s"`) {
+		t.Fatalf("protocol block lost its memory_t2_s:\n%s", buf.String())
+	}
+
+	buf.Reset()
+	if err := SaveParams(&buf, DefaultParams()); err != nil {
+		t.Fatal(err)
+	}
+	withT2 := func(v string) string {
+		return strings.Replace(buf.String(), `"step_interval_s"`, `"memory_t2_s": `+v+`, "step_interval_s"`, 1)
+	}
+	legacy, err := LoadParams(strings.NewReader(withT2("0")))
+	if err != nil {
+		t.Fatalf("file with the legacy zero memory_t2_s rejected: %v", err)
+	}
+	if ParamsHash(legacy) != ParamsHash(DefaultParams()) {
+		t.Fatal("legacy zero memory_t2_s changed the loaded params")
+	}
+	_, err = LoadParams(strings.NewReader(withT2("0.01")))
+	if err == nil || !strings.Contains(err.Error(), "protocol.memory_t2_s") {
+		t.Fatalf("non-zero top-level memory_t2_s: got %v, want an error naming protocol.memory_t2_s", err)
 	}
 }

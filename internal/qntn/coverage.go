@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"qntn/internal/netsim"
 	"qntn/internal/orbit"
 	"qntn/internal/routing"
 	"qntn/internal/telemetry"
@@ -86,63 +85,44 @@ func (sc *Scenario) bridgedInto(uf *unionFind, g *routing.Graph) bool {
 }
 
 // Coverage simulates the scenario for the given duration, updating the
-// topology every Params.StepInterval (the paper's 30 s satellite movement
-// step) through the discrete-event simulator, and returns the Eq. (6)-(7)
-// coverage metrics. Each covered step contributes one step interval to T_c.
+// topology every Params.TopologyStep (the paper's 30 s satellite movement
+// step), and returns the Eq. (6)-(7) coverage metrics. Each covered step
+// contributes one step interval to T_c.
 func (sc *Scenario) Coverage(duration time.Duration) (*CoverageResult, error) {
 	if duration <= 0 {
 		return nil, fmt.Errorf("qntn: non-positive coverage duration %v", duration)
 	}
-	if sc.Params.EventDriven && sc.tel == nil {
-		return sc.coverageEventDriven(duration)
+	step := sc.Params.TopologyStep()
+	grid := coverageGrid(step, duration)
+	src, err := sc.topology(grid)
+	if err != nil {
+		return nil, err
 	}
-	step := sc.Params.StepInterval
+	defer src.Close()
 	res := &CoverageResult{Total: duration}
-	sim := netsim.NewSimulator()
-	// One graph and one union-find are reused across every topology step.
-	g := routing.NewGraph()
-	uf := &unionFind{}
+	uf := &unionFind{} // reused across every topology step
 	tel := sc.tel
 	var label string
 	if tel != nil {
 		label = sc.coverageLabel()
 	}
-	stepIndex := 0
-	var simErr error
-	err := sim.ScheduleEvery(0, step, duration-step, "topology-update", func(s *netsim.Simulator) {
-		var st netsim.SnapshotStats
-		if tel != nil {
-			if err := sc.Net.SnapshotIntoStats(g, s.Now(), &st); err != nil {
-				simErr = err
-				s.Stop()
-				return
-			}
-		} else if err := sc.GraphInto(g, s.Now()); err != nil {
-			simErr = err
-			s.Stop()
-			return
+	for k := 0; k < grid.steps; k++ {
+		g, st, err := src.step(k)
+		if err != nil {
+			return nil, err
 		}
+		at := grid.at(k)
 		covered := sc.bridgedInto(uf, g)
-		accumulate(res, s.Now(), step, covered)
+		accumulate(res, at, step, covered)
 		if tel != nil {
 			tel.coverageSteps.Inc()
 			if covered {
 				tel.coverageCovered.Inc()
 			}
-			sc.recordStepEvent(label, stepIndex, s.Now(), &st, func(e *telemetry.Event) {
+			sc.recordStepEvent(label, k, at, st, func(e *telemetry.Event) {
 				e.Covered = covered
 			})
-			stepIndex++
 		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := sim.Run(duration); err != nil {
-		return nil, err
-	}
-	if simErr != nil {
-		return nil, simErr
 	}
 	return res, nil
 }
@@ -177,22 +157,6 @@ func (uf *unionFind) ensure(n int) {
 	uf.parent = uf.parent[:n]
 	uf.size = uf.size[:n]
 	uf.reset(n)
-}
-
-// copyFrom makes uf an exact copy of src (same parents and sizes), reusing
-// uf's backing arrays. The event engine uses it to restore a precomputed
-// "fiber-only" union-find template each step instead of re-unioning the
-// static fiber edges.
-func (uf *unionFind) copyFrom(src *unionFind) {
-	n := len(src.parent)
-	if cap(uf.parent) < n {
-		uf.parent = make([]int, n)
-		uf.size = make([]int, n)
-	}
-	uf.parent = uf.parent[:n]
-	uf.size = uf.size[:n]
-	copy(uf.parent, src.parent)
-	copy(uf.size, src.size)
 }
 
 func (uf *unionFind) find(x int) int {

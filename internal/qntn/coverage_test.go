@@ -2,9 +2,74 @@ package qntn
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"time"
 )
+
+// withinDeadline runs fn on its own goroutine and fails the test when fn
+// has not returned within d or panicked, so a hang or a crash in the code
+// under test is reported as a failure instead of stalling or killing the
+// test binary.
+func withinDeadline(t *testing.T, d time.Duration, fn func()) {
+	t.Helper()
+	done := make(chan any, 1)
+	go func() {
+		defer func() { done <- recover() }()
+		fn()
+	}()
+	select {
+	case r := <-done:
+		if r != nil {
+			t.Fatalf("panicked: %v", r)
+		}
+	case <-time.After(d):
+		t.Fatalf("did not return within %v", d)
+	}
+}
+
+// TestCoverageZeroStepInterval pins the cadence fallback of the coverage
+// loops: a hand-set StepInterval of 0 once made stepped Coverage error,
+// stepped DetailedCoverage loop forever and both event-driven variants
+// divide by zero. On both engines both loops must fall back to
+// Params.TopologyStep and reproduce the explicit 30 s run exactly.
+func TestCoverageZeroStepInterval(t *testing.T) {
+	const duration = 2 * time.Hour
+	for _, eventDriven := range []bool{false, true} {
+		p := DefaultParams()
+		p.StepInterval = 30 * time.Second
+		p.EventDriven = eventDriven
+		sc, err := NewSpaceGround(12, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantCov, err := sc.Coverage(duration)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantDetail, err := sc.DetailedCoverage(duration)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc.Params.StepInterval = 0
+		var gotCov *CoverageResult
+		var gotDetail *CoverageDetail
+		var covErr, detailErr error
+		withinDeadline(t, time.Minute, func() {
+			gotCov, covErr = sc.Coverage(duration)
+			gotDetail, detailErr = sc.DetailedCoverage(duration)
+		})
+		if covErr != nil || detailErr != nil {
+			t.Fatalf("eventDriven=%v: zero step interval should fall back, got %v / %v", eventDriven, covErr, detailErr)
+		}
+		if !reflect.DeepEqual(gotCov, wantCov) {
+			t.Fatalf("eventDriven=%v: coverage diverged from the 30 s run\n got: %+v\nwant: %+v", eventDriven, gotCov, wantCov)
+		}
+		if !reflect.DeepEqual(gotDetail, wantDetail) {
+			t.Fatalf("eventDriven=%v: detailed coverage diverged from the 30 s run\n got: %+v\nwant: %+v", eventDriven, gotDetail, wantDetail)
+		}
+	}
+}
 
 func TestAirGroundFullCoverage(t *testing.T) {
 	sc, err := NewAirGround(DefaultParams())

@@ -1,23 +1,20 @@
 package qntn
 
 import (
-	"fmt"
-	"time"
-
 	"qntn/internal/fault"
 	"qntn/internal/netsim"
 	"qntn/internal/routing"
-	"qntn/internal/stats"
 )
 
-// This file implements the event engine that drives Coverage,
-// DetailedCoverage and RunServe from the precomputed visibility windows of
-// windows.go: instead of rebuilding the topology graph from scratch at every
-// step, the engine applies a sorted stream of window open/close, platform
-// down/up and weather on/off events as incremental graph deltas
-// (AddEdgeByIndex / RemoveEdgeByIndex), and re-evaluates only the pairs
-// whose windows are currently open — with the exact stepEval physics, so
-// every emitted result is DeepEqual-identical to the stepped path's.
+// This file implements the event engine, the event-driven topology source
+// (topology.go) behind every run loop. It replays the precomputed
+// visibility windows of windows.go: instead of rebuilding the topology
+// graph from scratch at every step, the engine applies a sorted stream of
+// window open/close, platform down/up and weather on/off events as
+// incremental graph deltas (AddEdgeByIndex / RemoveEdgeByIndex), and
+// re-evaluates only the pairs whose windows are currently open — with the
+// exact stepEval physics, so every emitted result is DeepEqual-identical
+// to the stepped path's.
 
 // evKind orders simultaneous events deterministically. After coalescing, no
 // entity sees two events at the same step, so the order is a tiebreak for
@@ -96,24 +93,15 @@ type eventEngine struct {
 
 	fiber   []fiberEdge
 	fiberOf [][]int // node index -> indices into fiber
-	ufDirty bool
 
 	events    []event
 	evScratch []event // counting-sort double buffer
 	evCounts  []int   // counting-sort bucket offsets, one per grid step
 	cursor    int
 
-	active []int   // pair ordinals with open windows
-	apos   []int   // pair ordinal -> index in active, -1 when closed
-	has    []bool  // pair ordinal -> edge currently in the graph
-
-	stepChanges int
-	transitions int
-
-	baseUF *unionFind // fiber-only template, rebuilt when ufDirty
-	uf     *unionFind
-	lanIdx [][]int
-	lanBad bool
+	active []int  // pair ordinals with open windows
+	apos   []int  // pair ordinal -> index in active, -1 when closed
+	has    []bool // pair ordinal -> edge currently in the graph
 }
 
 // newEventEngine scans the scenario's windows on the given grid, builds the
@@ -126,12 +114,7 @@ func (sc *Scenario) newEventEngine(grid sampleGrid) (*eventEngine, error) {
 	n := len(nodes)
 	eng, _ := sc.engPool.Get().(*eventEngine)
 	if eng == nil {
-		eng = &eventEngine{
-			ws:     &windowScan{},
-			g:      routing.NewGraph(),
-			baseUF: &unionFind{},
-			uf:     &unionFind{},
-		}
+		eng = &eventEngine{ws: &windowScan{}, g: routing.NewGraph()}
 	}
 	eng.sc = sc
 	eng.grid = grid
@@ -150,9 +133,6 @@ func (sc *Scenario) newEventEngine(grid sampleGrid) (*eventEngine, error) {
 	eng.events = eng.events[:0]
 	eng.cursor = 0
 	eng.active = eng.active[:0]
-	eng.stepChanges, eng.transitions = 0, 0
-	eng.lanIdx = eng.lanIdx[:0]
-	eng.lanBad = false
 	eng.fm, _ = sc.Net.Model().(*fault.Model)
 	eng.g.Reset()
 	for i, nd := range nodes {
@@ -164,9 +144,8 @@ func (sc *Scenario) newEventEngine(grid sampleGrid) (*eventEngine, error) {
 	// The initial full reset leaves every node's caches fresh at step 0.
 	eng.se = sc.beginStep(nodes, 0)
 
-	// Static fiber topology: evaluated once, installed up front (the
-	// initial topology produces no link transitions, matching the stepped
-	// tracker's first observation), then toggled only by down/up events.
+	// Static fiber topology: evaluated once, installed up front, then
+	// toggled only by down/up events.
 	for i := 0; i < n; i++ {
 		if !eng.isGround[i] {
 			continue
@@ -189,30 +168,6 @@ func (sc *Scenario) newEventEngine(grid sampleGrid) (*eventEngine, error) {
 			}
 		}
 	}
-	eng.ufDirty = true
-
-	// LAN membership as dense indices, for the fast bridged check.
-	for _, lan := range sc.LANs {
-		ids := sc.GroundIDs[lan.Name]
-		if len(ids) == 0 {
-			eng.lanBad = true
-			break
-		}
-		idx := make([]int, len(ids))
-		for k, id := range ids {
-			ii, ok := eng.g.IndexOf(id)
-			if !ok {
-				eng.lanBad = true
-				break
-			}
-			idx[k] = ii
-		}
-		if eng.lanBad {
-			break
-		}
-		eng.lanIdx = append(eng.lanIdx, idx)
-	}
-
 	eng.buildEvents(nodes)
 	eng.apos = grow(eng.apos, len(eng.ws.pairs))
 	for p := range eng.apos {
@@ -327,8 +282,6 @@ func (eng *eventEngine) apply(ev event) {
 			if fe.present {
 				fe.present = false
 				eng.g.RemoveEdgeByIndex(fe.i, fe.j)
-				eng.stepChanges++
-				eng.ufDirty = true
 			}
 		}
 	case evNodeUp:
@@ -339,8 +292,6 @@ func (eng *eventEngine) apply(ev event) {
 				fe.present = true
 				// The indices predate the graph, so re-adding cannot fail.
 				_ = eng.g.AddEdgeByIndex(fe.i, fe.j, fe.eta)
-				eng.stepChanges++
-				eng.ufDirty = true
 			}
 		}
 	case evPairOpen:
@@ -358,7 +309,6 @@ func (eng *eventEngine) apply(ev event) {
 			eng.has[ev.pair] = false
 			pr := &eng.ws.pairs[ev.pair]
 			eng.g.RemoveEdgeByIndex(pr.i, pr.j)
-			eng.stepChanges++
 		}
 	}
 }
@@ -399,12 +349,12 @@ func (eng *eventEngine) evalPair(i, j int) (float64, bool) {
 	return eta, true
 }
 
-// runStep advances the engine to grid step k (steps must be visited in
+// step advances the engine to grid step k (steps must be visited in
 // order): pending events are applied, then every open-window pair is
-// re-evaluated and the graph delta applied. After the call eng.g holds
-// exactly the snapshot GraphInto would build at at(k).
-func (eng *eventEngine) runStep(k int) error {
-	eng.stepChanges = 0
+// re-evaluated and the graph delta applied. The returned graph holds
+// exactly the snapshot GraphInto would build at at(k). The engine runs only
+// uninstrumented, so it reports no snapshot stats.
+func (eng *eventEngine) step(k int) (*routing.Graph, *netsim.SnapshotStats, error) {
 	eng.se.setInstant(eng.grid.at(k))
 	for eng.cursor < len(eng.events) && eng.events[eng.cursor].step == k {
 		eng.apply(eng.events[eng.cursor])
@@ -416,194 +366,14 @@ func (eng *eventEngine) runStep(k int) error {
 		eng.ensureFresh(pr.j, k)
 		eta, ok := eng.evalPair(pr.i, pr.j)
 		if ok {
-			if !eng.has[p] {
-				eng.has[p] = true
-				eng.stepChanges++
-			}
+			eng.has[p] = true
 			if err := eng.g.AddEdgeByIndex(pr.i, pr.j, eta); err != nil {
-				return err
+				return nil, nil, err
 			}
 		} else if eng.has[p] {
 			eng.has[p] = false
 			eng.g.RemoveEdgeByIndex(pr.i, pr.j)
-			eng.stepChanges++
 		}
 	}
-	// The first topology is an observation, not a transition — matching
-	// the stepped path's LinkTracker, which skips its first snapshot.
-	if k > 0 {
-		eng.transitions += eng.stepChanges
-	}
-	return nil
-}
-
-// bridged reports whether all LANs are connected in the current topology,
-// equivalently to Scenario.bridgedInto on the engine's graph: a precomputed
-// fiber-only union-find template is copied and the open FSO edges unioned in.
-func (eng *eventEngine) bridged() bool {
-	if eng.lanBad {
-		return false
-	}
-	if eng.ufDirty {
-		eng.baseUF.ensure(eng.g.NumNodes())
-		for _, fe := range eng.fiber {
-			if fe.present {
-				eng.baseUF.union(fe.i, fe.j)
-			}
-		}
-		eng.ufDirty = false
-	}
-	eng.uf.copyFrom(eng.baseUF)
-	for _, p := range eng.active {
-		if eng.has[p] {
-			pr := &eng.ws.pairs[p]
-			eng.uf.union(pr.i, pr.j)
-		}
-	}
-	root := -1
-	for _, lan := range eng.lanIdx {
-		r := eng.uf.find(lan[0])
-		for _, ii := range lan[1:] {
-			if eng.uf.find(ii) != r {
-				return false
-			}
-		}
-		if root == -1 {
-			root = r
-		} else if r != root {
-			return false
-		}
-	}
-	return true
-}
-
-// coverageEventDriven is Coverage on the event engine; the caller has
-// validated the duration.
-func (sc *Scenario) coverageEventDriven(duration time.Duration) (*CoverageResult, error) {
-	step := sc.Params.StepInterval
-	res := &CoverageResult{Total: duration}
-	grid := coverageGrid(step, duration)
-	if grid.steps == 0 {
-		return res, nil
-	}
-	eng, err := sc.newEventEngine(grid)
-	if err != nil {
-		return nil, err
-	}
-	defer eng.Close()
-	for k := 0; k < grid.steps; k++ {
-		if err := eng.runStep(k); err != nil {
-			return nil, err
-		}
-		accumulate(res, grid.at(k), step, eng.bridged())
-	}
-	return res, nil
-}
-
-// detailedCoverageEventDriven is DetailedCoverage on the event engine; the
-// caller has validated the duration. Link transitions come from the engine's
-// own delta accounting, which counts exactly the appear/disappear changes
-// the stepped tracker reports (transmissivity-only changes count for
-// neither).
-func (sc *Scenario) detailedCoverageEventDriven(duration time.Duration) (*CoverageDetail, error) {
-	step := sc.Params.StepInterval
-	detail := &CoverageDetail{All: CoverageResult{Total: duration}}
-	for i := 0; i < len(sc.LANs); i++ {
-		for j := i + 1; j < len(sc.LANs); j++ {
-			detail.Pairs = append(detail.Pairs, PairCoverage{
-				NetworkA: sc.LANs[i].Name,
-				NetworkB: sc.LANs[j].Name,
-				Result:   CoverageResult{Total: duration},
-			})
-		}
-	}
-	grid := coverageGrid(step, duration)
-	if grid.steps == 0 {
-		return detail, nil
-	}
-	eng, err := sc.newEventEngine(grid)
-	if err != nil {
-		return nil, err
-	}
-	defer eng.Close()
-	for k := 0; k < grid.steps; k++ {
-		if err := eng.runStep(k); err != nil {
-			return nil, err
-		}
-		at := grid.at(k)
-		pairs, all := sc.bridgedPairs(eng.g)
-		accumulate(&detail.All, at, step, all)
-		for pi := range detail.Pairs {
-			pc := &detail.Pairs[pi]
-			accumulate(&pc.Result, at, step, pairs[[2]string{pc.NetworkA, pc.NetworkB}])
-		}
-	}
-	detail.LinkTransitions = eng.transitions
-	return detail, nil
-}
-
-// runServeEventDriven is RunServe on the event engine; cfg has been
-// validated and defaulted by the caller.
-func (sc *Scenario) runServeEventDriven(cfg ServeConfig) (*ServeResult, error) {
-	res := &ServeResult{Config: cfg}
-	wl, err := NewWorkload(sc, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	grid := sampleGrid{gap: cfg.stepGap(sc.Params), steps: cfg.Steps}
-	eng, err := sc.newEventEngine(grid)
-	if err != nil {
-		return nil, err
-	}
-	defer eng.Close()
-	var scratch routing.BellmanFordScratch
-	pe := sc.newProtoEval()
-	var fids, etas []float64
-	for k := 0; k < grid.steps; k++ {
-		if err := eng.runStep(k); err != nil {
-			return nil, err
-		}
-		at := grid.at(k)
-		tables := scratch.Run(eng.g, sc.Params.RoutingEpsilon)
-		for _, req := range wl.Batch(cfg.RequestsPerStep) {
-			out := netsim.Outcome{Request: req, At: at}
-			if tables.Reachable(req.Src, req.Dst) {
-				path, err := tables.Path(req.Src, req.Dst)
-				if err != nil {
-					return nil, fmt.Errorf("qntn: step %d request %d: %w", k, req.ID, err)
-				}
-				if pe != nil {
-					po, err := pe.outcome(eng.g, path, req, at)
-					if err != nil {
-						return nil, fmt.Errorf("qntn: step %d request %d: %w", k, req.ID, err)
-					}
-					if po.served {
-						out.Served = true
-						out.Path = path
-						out.EndToEndEta = po.primaryEta
-						out.Fidelity = po.fidelity
-						fids = append(fids, out.Fidelity)
-						etas = append(etas, out.EndToEndEta)
-					}
-				} else {
-					hopEtas, err := eng.g.EdgeEtas(path)
-					if err != nil {
-						return nil, fmt.Errorf("qntn: step %d request %d: %w", k, req.ID, err)
-					}
-					out.Served = true
-					out.Path = path
-					out.EndToEndEta = product(hopEtas)
-					out.Fidelity = PathFidelity(hopEtas, sc.Params.FidelityModel)
-					fids = append(fids, out.Fidelity)
-					etas = append(etas, out.EndToEndEta)
-				}
-			}
-			res.Metrics.Record(out)
-		}
-	}
-	res.ServedPercent = 100 * res.Metrics.ServedFraction()
-	res.MeanFidelity = res.Metrics.MeanServedFidelity()
-	res.FidelitySummary = stats.Summarize(fids)
-	res.MeanPathEta = stats.Mean(etas)
-	return res, nil
+	return eng.g, nil, nil
 }

@@ -44,7 +44,7 @@ func TestEventEngineDeltaMatchesRebuild(t *testing.T) {
 	defer eng.Close()
 	ref := routing.NewGraph()
 	for k := 0; k < grid.steps; k++ {
-		if err := eng.runStep(k); err != nil {
+		if _, _, err := eng.step(k); err != nil {
 			t.Fatal(err)
 		}
 		if err := sc.GraphInto(ref, grid.at(k)); err != nil {
@@ -61,9 +61,9 @@ func TestEventEngineDeltaMatchesRebuild(t *testing.T) {
 	}
 }
 
-// TestStepGapSharedDefinition pins the single step-gap definition all three
-// serve drivers (stepped, event-driven, DES) derive their sample instants
-// from, including the StepInterval fallback when Horizon/Steps underflows.
+// TestStepGapSharedDefinition pins the single step-gap definition RunServe's
+// grid (on both topology sources) and the sweeps' sample times derive from,
+// including the StepInterval fallback when Horizon/Steps underflows.
 func TestStepGapSharedDefinition(t *testing.T) {
 	p := DefaultParams()
 	cases := []struct {
@@ -91,12 +91,12 @@ func TestStepGapSharedDefinition(t *testing.T) {
 	}
 }
 
-// TestServeDESSamplesAllSteps is the off-by-one drift regression: when the
+// TestServeSamplesAllSteps is the off-by-one drift regression: when the
 // Horizon/Steps division underflows and the StepInterval fallback pushes
-// the sample instants past the horizon, every driver must still evaluate
-// all Steps samples — RunServeDES once derived the gap locally and silently
-// dropped every sample beyond the horizon.
-func TestServeDESSamplesAllSteps(t *testing.T) {
+// the sample instants past the horizon, RunServe must still evaluate all
+// Steps samples on both topology sources — a serve path that once derived
+// the gap locally silently dropped every sample beyond the horizon.
+func TestServeSamplesAllSteps(t *testing.T) {
 	p := fastSweepParams()
 	sc, err := NewSpaceGround(6, p)
 	if err != nil {
@@ -106,13 +106,6 @@ func TestServeDESSamplesAllSteps(t *testing.T) {
 	wantOutcomes := cfg.RequestsPerStep * cfg.Steps
 	times := cfg.sampleTimes(p)
 
-	des, err := sc.RunServeDES(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := len(des.Metrics.Outcomes); got != wantOutcomes {
-		t.Fatalf("RunServeDES recorded %d outcomes, want %d (samples dropped past the horizon)", got, wantOutcomes)
-	}
 	serve, err := sc.RunServe(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -123,11 +116,6 @@ func TestServeDESSamplesAllSteps(t *testing.T) {
 	for i, out := range serve.Metrics.Outcomes {
 		if at := times[i/cfg.RequestsPerStep]; out.At != at {
 			t.Fatalf("RunServe outcome %d at %v, want sample instant %v", i, out.At, at)
-		}
-	}
-	for i, out := range des.Metrics.Outcomes {
-		if at := times[i/cfg.RequestsPerStep]; out.At != at {
-			t.Fatalf("RunServeDES outcome %d at %v, want sample instant %v", i, out.At, at)
 		}
 	}
 

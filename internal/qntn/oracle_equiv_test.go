@@ -41,6 +41,84 @@ func TestEventDrivenMatchesSteppedOracle(t *testing.T) {
 	}
 }
 
+// admissionOracleHorizon is the arrival and traffic horizon of the
+// admission matrices below, short enough that the stepped oracle stays
+// affordable over every variant.
+const admissionOracleHorizon = time.Hour
+
+// admissionVariant is one fault × protocol variant of an archetype.
+type admissionVariant struct {
+	name string
+	p    qntn.Params
+}
+
+// admissionOracleVariants are the fault × protocol variants the admission
+// matrices run every archetype through.
+func admissionOracleVariants(arch oracletest.Archetype) []admissionVariant {
+	var variants []admissionVariant
+	for _, faults := range []bool{false, true} {
+		for _, proto := range []bool{false, true} {
+			v := admissionVariant{name: arch.Name, p: arch.Params()}
+			if faults {
+				v.name += "-faults"
+				v.p.Fault = oracletest.FaultConfig(11)
+			}
+			if proto {
+				v.name += "-protocol"
+				v.p.Protocol = protocolOracleConfig()
+			}
+			variants = append(variants, v)
+		}
+	}
+	return variants
+}
+
+// TestEventDrivenArrivalsMatchesStepped runs RunArrivals — the queued
+// admission loop — on both topology sources over every archetype, faults
+// off and on, protocol off and on.
+func TestEventDrivenArrivalsMatchesStepped(t *testing.T) {
+	totalServed := 0
+	for _, arch := range oracletest.Archetypes() {
+		for _, v := range admissionOracleVariants(arch) {
+			build, p := arch.Build, v.p
+			t.Run(v.name, func(t *testing.T) {
+				cfg := qntn.ArrivalConfig{RatePerHour: 120, Horizon: admissionOracleHorizon, Seed: 7}
+				totalServed += oracletest.AssertArrivalsEqual(t, build, p, cfg).Served
+			})
+		}
+	}
+	if totalServed == 0 {
+		t.Fatal("degenerate matrix: no archetype served a single arrival")
+	}
+}
+
+// TestEventDrivenTrafficMatchesStepped runs RunTraffic on both topology
+// sources over every archetype, faults off and on, protocol off and on, at
+// 1, 2 and 8 generation workers.
+func TestEventDrivenTrafficMatchesStepped(t *testing.T) {
+	totalServed := 0
+	for _, arch := range oracletest.Archetypes() {
+		for _, v := range admissionOracleVariants(arch) {
+			build, p := arch.Build, v.p
+			t.Run(v.name, func(t *testing.T) {
+				for _, workers := range []int{1, 2, 8} {
+					cfg := qntn.TrafficConfig{
+						RatePerHourPerSite: 4,
+						Diurnal:            qntn.DiurnalProfile{Amplitude: 0.5, PeakHour: 1},
+						Horizon:            admissionOracleHorizon,
+						Seed:               9,
+						Workers:            workers,
+					}
+					totalServed += oracletest.AssertTrafficEqual(t, build, p, cfg).Served
+				}
+			})
+		}
+	}
+	if totalServed == 0 {
+		t.Fatal("degenerate matrix: no archetype served a single traffic request")
+	}
+}
+
 // TestSpatialIndexMatchesDense is the dense-vs-index differential matrix:
 // every archetype, faults off and on, stepped and event-driven — toggling
 // only Params.DisableSpatialIndex between otherwise identical builds. The

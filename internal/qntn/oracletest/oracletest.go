@@ -2,7 +2,9 @@
 // pit the event-driven execution path against the brute-force stepped
 // simulation, which remains the semantic oracle: two scenarios are built
 // from identical parameters — differing only in Params.EventDriven — and
-// every experiment result must be reflect.DeepEqual-identical between them.
+// every experiment result must be reflect.DeepEqual-identical between them:
+// Coverage, DetailedCoverage, RunServe, RunArrivals and RunTraffic, the
+// five run loops written against the shared topology source.
 //
 // The helpers grew out of the PR-3 snapshot equivalence harness
 // (snapshot_equiv_test.go) and extend it from single-snapshot graph
@@ -170,6 +172,44 @@ func AssertServeEqual(t testing.TB, build Builder, p qntn.Params, cfg qntn.Serve
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("oracletest: event-driven serve diverged from stepped oracle\n got: %+v\nwant: %+v", got, want)
+	}
+	return want
+}
+
+// AssertArrivalsEqual requires RunArrivals — every counter and wait and
+// fidelity aggregate — to be DeepEqual-identical between the two paths.
+func AssertArrivalsEqual(t testing.TB, build Builder, p qntn.Params, cfg qntn.ArrivalConfig) *qntn.ArrivalResult {
+	t.Helper()
+	stepped, event := Pair(t, build, p)
+	want, err := stepped.RunArrivals(cfg)
+	if err != nil {
+		t.Fatalf("oracletest: stepped arrivals: %v", err)
+	}
+	got, err := event.RunArrivals(cfg)
+	if err != nil {
+		t.Fatalf("oracletest: event-driven arrivals: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("oracletest: event-driven arrivals diverged from stepped oracle\n got: %+v\nwant: %+v", got, want)
+	}
+	return want
+}
+
+// AssertTrafficEqual requires RunTraffic to be DeepEqual-identical between
+// the two paths at cfg's worker count.
+func AssertTrafficEqual(t testing.TB, build Builder, p qntn.Params, cfg qntn.TrafficConfig) *qntn.TrafficResult {
+	t.Helper()
+	stepped, event := Pair(t, build, p)
+	want, err := stepped.RunTraffic(cfg)
+	if err != nil {
+		t.Fatalf("oracletest: stepped traffic: %v", err)
+	}
+	got, err := event.RunTraffic(cfg)
+	if err != nil {
+		t.Fatalf("oracletest: event-driven traffic: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("oracletest: event-driven traffic diverged from stepped oracle\n got: %+v\nwant: %+v", got, want)
 	}
 	return want
 }

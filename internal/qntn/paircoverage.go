@@ -64,15 +64,19 @@ func (sc *Scenario) bridgedPairs(g *routing.Graph) (map[[2]string]bool, bool) {
 }
 
 // DetailedCoverage runs the coverage analysis with per-pair breakdown and
-// link-churn accounting over the given duration.
+// link-churn accounting over the given duration, on the same step grid as
+// Coverage.
 func (sc *Scenario) DetailedCoverage(duration time.Duration) (*CoverageDetail, error) {
 	if duration <= 0 {
 		return nil, fmt.Errorf("qntn: non-positive coverage duration %v", duration)
 	}
-	if sc.Params.EventDriven && sc.tel == nil {
-		return sc.detailedCoverageEventDriven(duration)
+	step := sc.Params.TopologyStep()
+	grid := coverageGrid(step, duration)
+	src, err := sc.topology(grid)
+	if err != nil {
+		return nil, err
 	}
-	step := sc.Params.StepInterval
+	defer src.Close()
 	detail := &CoverageDetail{All: CoverageResult{Total: duration}}
 	for i := 0; i < len(sc.LANs); i++ {
 		for j := i + 1; j < len(sc.LANs); j++ {
@@ -83,23 +87,21 @@ func (sc *Scenario) DetailedCoverage(duration time.Duration) (*CoverageDetail, e
 			})
 		}
 	}
-	tracker := netsim.NewLinkTracker()
-	first := true
-	g := routing.NewGraph() // reused across steps; the tracker copies edges
-	for at := time.Duration(0); at+step <= duration; at += step {
-		if err := sc.GraphInto(g, at); err != nil {
+	tracker := netsim.NewLinkTracker() // copies edges, so the source may reuse its graph
+	for k := 0; k < grid.steps; k++ {
+		g, _, err := src.step(k)
+		if err != nil {
 			return nil, err
 		}
+		at := grid.at(k)
 		changes := tracker.Observe(at, g)
-		if !first {
+		if k > 0 {
 			detail.LinkTransitions += len(changes)
 		}
-		first = false
-
 		pairs, all := sc.bridgedPairs(g)
 		accumulate(&detail.All, at, step, all)
-		for k := range detail.Pairs {
-			pc := &detail.Pairs[k]
+		for pi := range detail.Pairs {
+			pc := &detail.Pairs[pi]
 			accumulate(&pc.Result, at, step, pairs[[2]string{pc.NetworkA, pc.NetworkB}])
 		}
 	}

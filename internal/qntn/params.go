@@ -80,14 +80,10 @@ type Params struct {
 	// sampling).
 	StepInterval time.Duration
 
-	// MemoryT2 is the coherence time of the end-node quantum memories
-	// used by the time-aware (DES) serving experiment: while the
-	// classical heralding signal is in flight, stored qubits dephase.
-	// Zero means ideal memories — the paper's assumption.
-	MemoryT2 time.Duration
 	// ProcessingDelayPerHop adds a fixed classical processing delay per
 	// path hop to the heralding latency (zero under the paper's ideal
-	// assumptions).
+	// assumptions). Memory dephasing during that latency is configured in
+	// Protocol.MemoryT2, the repository's one memory-noise model.
 	ProcessingDelayPerHop time.Duration
 
 	// HAPOutageProbability is the per-step probability that a HAP is
@@ -140,11 +136,12 @@ type Params struct {
 	// and the nil default costs nothing on any hot path.
 	Telemetry *telemetry.Collector
 
-	// EventDriven, when true, runs Coverage, DetailedCoverage and RunServe
-	// through the event-driven visibility-window engine (see windows.go and
-	// eventloop.go) instead of brute-force per-step snapshot rebuilds. The
-	// results are identical — the stepped path remains the semantic oracle,
-	// asserted by the differential test suite — only faster. Runtime wiring
+	// EventDriven, when true, runs Coverage, DetailedCoverage, RunServe,
+	// RunArrivals and RunTraffic over the event-driven visibility-window
+	// engine (see topology.go, windows.go and eventloop.go) instead of
+	// brute-force per-step snapshot rebuilds. The results are identical —
+	// the stepped path remains the semantic oracle, asserted by the
+	// differential test suite — only faster. Runtime wiring
 	// only, like Telemetry: excluded from the JSON codec, ParamsHash and
 	// Validate. Telemetry-instrumented runs always use the stepped path
 	// (per-step snapshot stats have no event-driven equivalent).
@@ -246,8 +243,6 @@ func (p Params) Validate() error {
 		return fmt.Errorf("qntn: non-positive HAP altitude")
 	case p.StepInterval <= 0:
 		return fmt.Errorf("qntn: non-positive step interval")
-	case p.MemoryT2 < 0:
-		return fmt.Errorf("qntn: negative memory T2")
 	case p.ProcessingDelayPerHop < 0:
 		return fmt.Errorf("qntn: negative per-hop processing delay")
 	case p.TwilightRad < 0 || p.TwilightRad >= math.Pi/2:
@@ -270,7 +265,7 @@ func (p Params) Validate() error {
 // constructor paths, but parameters assembled by hand or mutated after
 // construction (tests, zero-valued configs) still reach the run loops —
 // this single fallback is what keeps a zero interval from degenerating
-// into a rejected ScheduleEvery cadence or a divide-by-zero step index.
+// into an empty, endless or divide-by-zero step grid.
 func (p Params) TopologyStep() time.Duration {
 	if p.StepInterval > 0 {
 		return p.StepInterval

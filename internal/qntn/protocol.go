@@ -10,29 +10,41 @@ import (
 	"qntn/internal/runner"
 )
 
-// protoOutcome is the protocol layer's verdict on one request attempt.
-type protoOutcome struct {
-	// served reports whether at least one pair survived swapping and
-	// distillation; fidelity is its root-convention fidelity when it did.
+// evaluation is the verdict on one request attempt over a routed path.
+type evaluation struct {
+	// served reports whether an end-to-end pair was delivered (with the
+	// protocol layer: at least one pair survived swapping and
+	// distillation); fidelity is its root-convention fidelity when it was.
 	served   bool
 	fidelity float64
-	// primaryEta is the end-to-end transmissivity of the primary route —
-	// what the protocol-off path reports as EndToEndEta.
+	// primaryEta is the end-to-end transmissivity of the primary route,
+	// reported as the outcome's EndToEndEta.
 	primaryEta float64
-	// Draw counters, for telemetry.
+	// Protocol draw counters, for telemetry (zero with the layer off).
 	swapAttempts   int
 	swapFailures   int
 	purifyRounds   int
 	purifyAccepted int
 }
 
-// protoEval evaluates the entanglement-protocol layer for one run. All
-// buffers are reused across requests, so the per-request evaluation is
-// allocation-free after warm-up (asserted in protocol_alloc_test.go); one
-// protoEval must therefore never be shared across goroutines — each sweep
-// task builds its own, exactly like the Bellman-Ford scratch.
-type protoEval struct {
+// add accumulates another evaluation's draw counters.
+func (e *evaluation) add(o *evaluation) {
+	e.swapAttempts += o.swapAttempts
+	e.swapFailures += o.swapFailures
+	e.purifyRounds += o.purifyRounds
+	e.purifyAccepted += o.purifyAccepted
+}
+
+// evaluator is the one request evaluator every serving loop shares:
+// route hop etas → fidelity, through the entanglement-protocol layer when
+// Params.Protocol enables it. All buffers are reused across requests, so
+// the per-request evaluation is allocation-free after warm-up (asserted in
+// protocol_alloc_test.go); one evaluator must therefore never be shared
+// across goroutines — each sweep task builds its own, exactly like the
+// Bellman-Ford scratch.
+type evaluator struct {
 	sc     *Scenario
+	proto  bool // protocol layer enabled
 	cfg    protocol.Config
 	k      int
 	ds     routing.DisjointScratch
@@ -41,15 +53,10 @@ type protoEval struct {
 	key    []byte
 }
 
-// newProtoEval returns the run's protocol evaluator, or nil when the layer
-// is disabled. Callers branch on nil and keep disabled runs on exactly the
-// pre-protocol statements, which is what makes protocol-off output
-// byte-identical by construction rather than by test.
-func (sc *Scenario) newProtoEval() *protoEval {
-	if !sc.Params.Protocol.Enabled() {
-		return nil
-	}
-	return &protoEval{sc: sc, cfg: sc.Params.Protocol, k: sc.Params.Protocol.Paths()}
+// newEvaluator returns the run's request evaluator.
+func (sc *Scenario) newEvaluator() *evaluator {
+	p := sc.Params.Protocol
+	return &evaluator{sc: sc, proto: p.Enabled(), cfg: p, k: p.Paths()}
 }
 
 // pairKey folds the request identity into the draw-seed task index over a
@@ -57,7 +64,7 @@ func (sc *Scenario) newProtoEval() *protoEval {
 // protocol.PairKey hashes, pinned equal by TestPairKeyMatchesBytesFold.
 //
 //qntn:hotpath once per protocol request evaluation
-func (pe *protoEval) pairKey(req netsim.Request, at time.Duration) uint64 {
+func (pe *evaluator) pairKey(req netsim.Request, at time.Duration) uint64 {
 	b := pe.key[:0]
 	b = append(b, req.Src...) //qntn:coldpath amortized growth: key buffer is reused
 	b = append(b, '|')        //qntn:coldpath amortized growth: key buffer is reused
@@ -70,14 +77,16 @@ func (pe *protoEval) pairKey(req netsim.Request, at time.Duration) uint64 {
 	return runner.FNV64aBytes(b)
 }
 
-// outcome runs the full protocol pipeline for one request routed over the
-// primary path at topology instant at:
+// evaluate delivers one request routed over the primary path at topology
+// instant at:
 //
-//  1. Zero-swap routes (a single edge, e.g. same-LAN fiber) bypass the
-//     layer entirely — no heralding wait, no draws, fidelity exactly the
-//     seed model's. A naive implementation that charged the 2L/c heralding
-//     wait and a swap loop to a direct route would dephase pairs that never
-//     sit in memory; the zero-hop regression test pins the bypass.
+//  1. With the protocol layer off, and for zero-swap routes (a single
+//     edge, e.g. same-LAN fiber) with it on, the request is served with the
+//     FidelityModel's fidelity over the path's hop etas — no heralding
+//     wait, no draws. A naive implementation that charged the 2L/c
+//     heralding wait and a swap loop to a direct route would dephase pairs
+//     that never sit in memory; the zero-hop regression test pins the
+//     bypass.
 //  2. Otherwise up to k internally-vertex-disjoint routes are extracted
 //     (primary first). Each route attempts an elementary pair per hop,
 //     connected by per-relay swaps whose success draws derive from
@@ -87,13 +96,13 @@ func (pe *protoEval) pairKey(req netsim.Request, at time.Duration) uint64 {
 //  3. Surviving attempts are sorted best-first and distilled pairwise
 //     (protocol.Distill); the request is served iff a pair survives.
 //
-// The scalar reference in oracletest reimplements this pipeline naively
-// (cloned graphs, map Dijkstra, verbatim formulas); the differential matrix
-// pins the two DeepEqual-identical.
-func (pe *protoEval) outcome(g *routing.Graph, path []string, req netsim.Request, at time.Duration) (protoOutcome, error) {
-	var out protoOutcome
+// The scalar reference in oracletest reimplements the protocol pipeline
+// naively (cloned graphs, map Dijkstra, verbatim formulas); the
+// differential matrix pins the two DeepEqual-identical.
+func (pe *evaluator) evaluate(g *routing.Graph, path []string, req netsim.Request, at time.Duration) (evaluation, error) {
+	var out evaluation
 	model := pe.sc.Params.FidelityModel
-	if len(path) <= 2 {
+	if !pe.proto || len(path) <= 2 {
 		etas, err := g.EdgeEtasInto(pe.etaBuf[:0], path)
 		pe.etaBuf = etas
 		if err != nil {

@@ -34,13 +34,13 @@ func TestProtocolZeroHopBypass(t *testing.T) {
 	p := DefaultParams()
 	p.Protocol = protoTestConfig()
 	sc := &Scenario{Params: p}
-	pe := sc.newProtoEval()
-	if pe == nil {
-		t.Fatal("protocol enabled but newProtoEval returned nil")
+	pe := sc.newEvaluator()
+	if !pe.proto {
+		t.Fatal("protocol enabled but the evaluator has the layer off")
 	}
 	path := []string{"lanA-host", "lanA-switch"}
 	req := netsim.Request{ID: 3, Src: path[0], Dst: path[1]}
-	po, err := pe.outcome(g, path, req, 90*time.Minute)
+	po, err := pe.evaluate(g, path, req, 90*time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,21 +112,21 @@ func TestProtocolOutcomeDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	at, g, attempts := protoTestTopology(t, sc)
-	pe := sc.newProtoEval()
-	fresh := sc.newProtoEval()
+	pe := sc.newEvaluator()
+	fresh := sc.newEvaluator()
 	for _, a := range attempts {
-		first, err := pe.outcome(g, a.path, a.req, at)
+		first, err := pe.evaluate(g, a.path, a.req, at)
 		if err != nil {
 			t.Fatal(err)
 		}
-		second, err := pe.outcome(g, a.path, a.req, at)
+		second, err := pe.evaluate(g, a.path, a.req, at)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(first, second) {
 			t.Fatalf("request %d: reused evaluator diverged: %+v vs %+v", a.req.ID, first, second)
 		}
-		viaFresh, err := fresh.outcome(g, a.path, a.req, at)
+		viaFresh, err := fresh.evaluate(g, a.path, a.req, at)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,15 +151,15 @@ func TestProtocolOutcomeZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	at, g, attempts := protoTestTopology(t, sc)
-	pe := sc.newProtoEval()
+	pe := sc.newEvaluator()
 	for _, a := range attempts { // warm every buffer across path shapes
-		if _, err := pe.outcome(g, a.path, a.req, at); err != nil {
+		if _, err := pe.evaluate(g, a.path, a.req, at); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if n := testing.AllocsPerRun(20, func() {
 		for _, a := range attempts {
-			if _, err := pe.outcome(g, a.path, a.req, at); err != nil {
+			if _, err := pe.evaluate(g, a.path, a.req, at); err != nil {
 				t.Fatal(err)
 			}
 		}

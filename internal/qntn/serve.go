@@ -48,10 +48,9 @@ func (cfg ServeConfig) validate() error {
 // stepGap returns the spacing between this config's sample instants:
 // Horizon/Steps, falling back to the scenario's topology-update cadence
 // when the integer division underflows to zero (Horizon shorter than Steps
-// nanoseconds). Every sampleTimes-derived loop — RunServe, RunServeDES, the
-// event-driven serve grid — must use this single definition; duplicating
-// the fallback is how the DES path once drifted a step short (see the
-// shared regression test).
+// nanoseconds). RunServe's grid and the sweeps' precomputed sampleTimes
+// both derive from this single definition; a duplicated fallback once
+// made a serve path drift a step short (see the shared regression test).
 func (cfg ServeConfig) stepGap(p Params) time.Duration {
 	cfg = cfg.withDefaults()
 	gap := cfg.Horizon / time.Duration(cfg.Steps)
@@ -61,14 +60,19 @@ func (cfg ServeConfig) stepGap(p Params) time.Duration {
 	return gap
 }
 
-// sampleTimes returns the topology instants RunServe will evaluate under
-// these parameters: Steps instants spread stepGap apart from t = 0.
+// grid returns the sample grid RunServe evaluates under these parameters:
+// Steps instants spread stepGap apart from t = 0.
+func (cfg ServeConfig) grid(p Params) sampleGrid {
+	return sampleGrid{gap: cfg.stepGap(p), steps: cfg.Steps}
+}
+
+// sampleTimes lists the instants of cfg.grid — what sweeps precompute to
+// propagate ephemerides exactly where RunServe will evaluate.
 func (cfg ServeConfig) sampleTimes(p Params) []time.Duration {
-	cfg = cfg.withDefaults()
-	stepGap := cfg.stepGap(p)
-	times := make([]time.Duration, cfg.Steps)
-	for step := range times {
-		times[step] = time.Duration(step) * stepGap
+	grid := cfg.grid(p)
+	times := make([]time.Duration, grid.steps)
+	for k := range times {
+		times[k] = grid.at(k)
 	}
 	return times
 }
@@ -90,37 +94,32 @@ type ServeResult struct {
 }
 
 // RunServe executes the serve experiment against the scenario. At each
-// step it snapshots the topology, converges the Algorithm 1 routing tables
-// once, and attempts every request of the batch: a request is served when a
-// path exists; its fidelity follows the scenario's FidelityModel applied to
-// the path's per-hop transmissivities.
+// step it takes the topology snapshot, converges the Algorithm 1 routing
+// tables once, and attempts every request of the batch: a request is served
+// when a path exists and the request evaluator delivers a pair over it (the
+// FidelityModel's fidelity over the path's per-hop transmissivities, or the
+// entanglement-protocol layer's verdict when Params.Protocol enables it).
 func (sc *Scenario) RunServe(cfg ServeConfig) (*ServeResult, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	if sc.Params.EventDriven && sc.tel == nil {
-		return sc.runServeEventDriven(cfg)
-	}
 	res := &ServeResult{Config: cfg}
 	wl, err := NewWorkload(sc, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
+	grid := cfg.grid(sc.Params)
+	src, err := sc.topology(grid)
+	if err != nil {
+		return nil, err
+	}
+	defer src.Close()
 
-	// sampleTimes is the single source of truth for the instants this run
-	// evaluates — sweeps precompute the same list to propagate ephemerides
-	// exactly there, so duplicating its stepGap fallback here would let the
-	// two drift apart.
-	times := cfg.sampleTimes(sc.Params)
-
-	// One graph and one Bellman-Ford scratch serve every step: the node
-	// set is fixed, so per-step work reuses their storage. pe is nil unless
-	// the entanglement-protocol layer is enabled; the nil branch below is
-	// the pre-protocol code verbatim.
-	graph := routing.NewGraph()
+	// One Bellman-Ford scratch and one evaluator serve every step: the node
+	// set is fixed, so per-step work reuses their storage.
 	var scratch routing.BellmanFordScratch
-	pe := sc.newProtoEval()
+	ev := sc.newEvaluator()
 
 	tel := sc.tel
 	var label string
@@ -129,15 +128,12 @@ func (sc *Scenario) RunServe(cfg ServeConfig) (*ServeResult, error) {
 	}
 
 	var fids, etas []float64
-	for step, at := range times {
-		var st netsim.SnapshotStats
-		if tel != nil {
-			if err := sc.Net.SnapshotIntoStats(graph, at, &st); err != nil {
-				return nil, err
-			}
-		} else if err := sc.GraphInto(graph, at); err != nil {
+	for k := 0; k < grid.steps; k++ {
+		graph, st, err := src.step(k)
+		if err != nil {
 			return nil, err
 		}
+		at := grid.at(k)
 		tables := scratch.Run(graph, sc.Params.RoutingEpsilon)
 		stepServed, stepDropped := 0, 0
 		var stepFidSum float64
@@ -146,40 +142,20 @@ func (sc *Scenario) RunServe(cfg ServeConfig) (*ServeResult, error) {
 			if tables.Reachable(req.Src, req.Dst) {
 				path, err := tables.Path(req.Src, req.Dst)
 				if err != nil {
-					return nil, fmt.Errorf("qntn: step %d request %d: %w", step, req.ID, err)
+					return nil, fmt.Errorf("qntn: step %d request %d: %w", k, req.ID, err)
 				}
-				if pe != nil {
-					po, err := pe.outcome(graph, path, req, at)
-					if err != nil {
-						return nil, fmt.Errorf("qntn: step %d request %d: %w", step, req.ID, err)
-					}
-					if tel != nil {
-						tel.addProto(&po)
-					}
-					if po.served {
-						out.Served = true
-						out.Path = path
-						out.EndToEndEta = po.primaryEta
-						out.Fidelity = po.fidelity
-						fids = append(fids, out.Fidelity)
-						etas = append(etas, out.EndToEndEta)
-						stepServed++
-						stepFidSum += out.Fidelity
-						if tel != nil {
-							tel.fidelity.Observe(out.Fidelity)
-						}
-					} else {
-						stepDropped++
-					}
-				} else {
-					hopEtas, err := graph.EdgeEtas(path)
-					if err != nil {
-						return nil, fmt.Errorf("qntn: step %d request %d: %w", step, req.ID, err)
-					}
+				e, err := ev.evaluate(graph, path, req, at)
+				if err != nil {
+					return nil, fmt.Errorf("qntn: step %d request %d: %w", k, req.ID, err)
+				}
+				if tel != nil {
+					tel.addProto(&e)
+				}
+				if e.served {
 					out.Served = true
 					out.Path = path
-					out.EndToEndEta = product(hopEtas)
-					out.Fidelity = PathFidelity(hopEtas, sc.Params.FidelityModel)
+					out.EndToEndEta = e.primaryEta
+					out.Fidelity = e.fidelity
 					fids = append(fids, out.Fidelity)
 					etas = append(etas, out.EndToEndEta)
 					stepServed++
@@ -188,7 +164,8 @@ func (sc *Scenario) RunServe(cfg ServeConfig) (*ServeResult, error) {
 						tel.fidelity.Observe(out.Fidelity)
 					}
 				}
-			} else {
+			}
+			if !out.Served {
 				stepDropped++
 			}
 			res.Metrics.Record(out)
@@ -198,7 +175,7 @@ func (sc *Scenario) RunServe(cfg ServeConfig) (*ServeResult, error) {
 			tel.relaxRounds.Add(uint64(rounds))
 			tel.requestsServed.Add(uint64(stepServed))
 			tel.requestsDropped.Add(uint64(stepDropped))
-			sc.recordStepEvent(label, step, at, &st, func(e *telemetry.Event) {
+			sc.recordStepEvent(label, k, at, st, func(e *telemetry.Event) {
 				e.RelaxRounds = int64(rounds)
 				e.Served = int64(stepServed)
 				e.Dropped = int64(stepDropped)

@@ -33,8 +33,8 @@ type scenarioTelemetry struct {
 	protoPurifyAccepted *telemetry.Counter
 }
 
-// addProto accumulates one protocol verdict's draw counters.
-func (t *scenarioTelemetry) addProto(po *protoOutcome) {
+// addProto accumulates one evaluation's protocol draw counters.
+func (t *scenarioTelemetry) addProto(po *evaluation) {
 	t.protoSwaps.Add(uint64(po.swapAttempts))
 	t.protoSwapFailures.Add(uint64(po.swapFailures))
 	t.protoPurifyRounds.Add(uint64(po.purifyRounds))

@@ -3,28 +3,11 @@ package qntn
 import (
 	"fmt"
 	"time"
-
-	"qntn/internal/netsim"
-	"qntn/internal/orbit"
-	"qntn/internal/quantum"
-	"qntn/internal/stats"
 )
 
 // SpeedOfLightMPerS is the vacuum speed of light used for heralding
 // latency.
 const SpeedOfLightMPerS = 299792458.0
-
-// ServeDESResult extends ServeResult with the timing metrics of the
-// event-driven experiment.
-type ServeDESResult struct {
-	ServeResult
-	// MeanLatency / MaxLatency summarize heralding latency over served
-	// requests.
-	MeanLatency time.Duration
-	MaxLatency  time.Duration
-	// EventsProcessed is the number of discrete events executed.
-	EventsProcessed int
-}
 
 // PathLengthM returns the summed straight-line hop length of a path at
 // virtual time t.
@@ -50,141 +33,4 @@ func (sc *Scenario) HeraldingLatency(pathLengthM float64, hops int) time.Duratio
 	latency := time.Duration(prop * float64(time.Second))
 	latency += time.Duration(hops) * sc.Params.ProcessingDelayPerHop
 	return latency
-}
-
-// TimeAwarePathFidelity extends PathFidelity with memory dephasing during
-// the heralding wait: the pair's qubits sit in end-node memories for the
-// storage duration, decohering with coherence time t2 (t2 <= 0 means ideal
-// memories). The source split is chosen exactly as in PathFidelity —
-// dephasing applies identically to every split, so the argmax is
-// unchanged.
-func TimeAwarePathFidelity(etas []float64, model FidelityModel, storage, t2 time.Duration) (float64, error) {
-	if len(etas) == 0 {
-		return 1, nil
-	}
-	if t2 <= 0 || storage <= 0 {
-		return PathFidelity(etas, model), nil
-	}
-	var left, right float64
-	switch model {
-	case SourceAtEndpoint:
-		left, right = 1, product(etas)
-	default: // SourceAtBestSplit
-		best, bestSplit := -1.0, 0
-		for split := 0; split <= len(etas); split++ {
-			f := quantum.AnalyticBellFidelityBothArms(product(etas[:split]), product(etas[split:]))
-			if f > best {
-				best, bestSplit = f, split
-			}
-		}
-		left, right = product(etas[:bestSplit]), product(etas[bestSplit:])
-	}
-	return quantum.StoredBellFidelity(left, right, storage, t2)
-}
-
-// RunServeDES executes the serve experiment through the discrete-event
-// simulator: topology-update events fire at each sampled step, requests
-// are attempted at the event instant, and each served request is charged a
-// heralding latency during which its memories dephase (when MemoryT2 is
-// set). With ideal memories the serving and fidelity results are identical
-// to RunServe; the DES adds the timing dimension.
-func (sc *Scenario) RunServeDES(cfg ServeConfig) (*ServeDESResult, error) {
-	if cfg.RequestsPerStep <= 0 || cfg.Steps <= 0 {
-		return nil, fmt.Errorf("qntn: serve config requires positive requests and steps")
-	}
-	if cfg.Horizon <= 0 {
-		cfg.Horizon = orbit.Day
-	}
-	res := &ServeDESResult{}
-	res.Config = cfg
-	wl, err := NewWorkload(sc, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	// sampleTimes is the shared source of the per-step instants; deriving
-	// the step gap locally once dropped every sample past the horizon when
-	// the Horizon/Steps division underflowed and the StepInterval fallback
-	// pushed the samples beyond it (see TestServeDESSamplesAllSteps).
-	times := cfg.sampleTimes(sc.Params)
-
-	var fids, etas, latencies []float64
-	var simErr error
-	sim := netsim.NewSimulator()
-	serveStep := func(s *netsim.Simulator) {
-		at := s.Now()
-		tables, graph, err := sc.Routes(at)
-		if err != nil {
-			simErr = err
-			s.Stop()
-			return
-		}
-		for _, req := range wl.Batch(cfg.RequestsPerStep) {
-			out := netsim.Outcome{Request: req, At: at}
-			if tables.Reachable(req.Src, req.Dst) {
-				path, err := tables.Path(req.Src, req.Dst)
-				if err != nil {
-					simErr = err
-					s.Stop()
-					return
-				}
-				hopEtas, err := graph.EdgeEtas(path)
-				if err != nil {
-					simErr = err
-					s.Stop()
-					return
-				}
-				length, err := sc.PathLengthM(path, at)
-				if err != nil {
-					simErr = err
-					s.Stop()
-					return
-				}
-				latency := sc.HeraldingLatency(length, len(hopEtas))
-				fid, err := TimeAwarePathFidelity(hopEtas, sc.Params.FidelityModel, latency, sc.Params.MemoryT2)
-				if err != nil {
-					simErr = err
-					s.Stop()
-					return
-				}
-				out.Served = true
-				out.Path = path
-				out.EndToEndEta = product(hopEtas)
-				out.PathLengthM = length
-				out.Latency = latency
-				out.Fidelity = fid
-				fids = append(fids, fid)
-				etas = append(etas, out.EndToEndEta)
-				latencies = append(latencies, latency.Seconds())
-				if latency > res.MaxLatency {
-					res.MaxLatency = latency
-				}
-			}
-			res.Metrics.Record(out)
-		}
-	}
-	for _, at := range times {
-		if err := sim.Schedule(at, "serve-step", serveStep); err != nil {
-			return nil, err
-		}
-	}
-	runUntil := cfg.Horizon
-	if last := times[len(times)-1]; last > runUntil {
-		runUntil = last
-	}
-	if err := sim.Run(runUntil); err != nil {
-		return nil, err
-	}
-	if simErr != nil {
-		return nil, simErr
-	}
-
-	res.ServedPercent = 100 * res.Metrics.ServedFraction()
-	res.MeanFidelity = res.Metrics.MeanServedFidelity()
-	res.FidelitySummary = stats.Summarize(fids)
-	res.MeanPathEta = stats.Mean(etas)
-	if len(latencies) > 0 {
-		res.MeanLatency = time.Duration(stats.Mean(latencies) * float64(time.Second))
-	}
-	res.EventsProcessed = sim.Processed
-	return res, nil
 }

@@ -59,24 +59,19 @@ func (cfg TrafficConfig) withDefaults() TrafficConfig {
 	return cfg
 }
 
-// validate checks the traffic shape.
+// validate checks the traffic shape. The negated comparisons reject NaN,
+// and an infinite rate would make every interarrival gap zero: either way
+// the site generators would never pass the horizon.
 func (cfg TrafficConfig) validate() error {
 	switch {
-	case cfg.RatePerHourPerSite <= 0:
-		return fmt.Errorf("qntn: traffic rate must be positive, got %g", cfg.RatePerHourPerSite)
-	case cfg.Diurnal.Amplitude < 0 || cfg.Diurnal.Amplitude >= 1:
+	case !(cfg.RatePerHourPerSite > 0) || math.IsInf(cfg.RatePerHourPerSite, 1):
+		return fmt.Errorf("qntn: traffic rate must be positive and finite, got %g", cfg.RatePerHourPerSite)
+	case !(cfg.Diurnal.Amplitude >= 0 && cfg.Diurnal.Amplitude < 1):
 		return fmt.Errorf("qntn: diurnal amplitude %g outside [0,1)", cfg.Diurnal.Amplitude)
-	case cfg.Diurnal.PeakHour < 0 || cfg.Diurnal.PeakHour >= 24:
+	case !(cfg.Diurnal.PeakHour >= 0 && cfg.Diurnal.PeakHour < 24):
 		return fmt.Errorf("qntn: diurnal peak hour %g outside [0,24)", cfg.Diurnal.PeakHour)
 	}
 	return nil
-}
-
-// trafficArrival is one request in the merged arrival stream.
-type trafficArrival struct {
-	at   time.Duration
-	site int // canonical site index, the merge tie-breaker
-	req  netsim.Request
 }
 
 // trafficSite is one ground host together with its eligible destinations
@@ -124,11 +119,11 @@ func (sc *Scenario) trafficSites() ([]trafficSite, error) {
 // runner.TaskSeed(cfg.Seed, runner.FNV64a(site.id)), so each stream is a
 // pure function of (config, site ID): adding or removing other sites, or
 // changing the worker count, never perturbs it.
-func siteStream(site trafficSite, index int, cfg TrafficConfig) []trafficArrival {
+func siteStream(site trafficSite, index int, cfg TrafficConfig) []arrival {
 	peakMult := 1 + cfg.Diurnal.Amplitude
 	meanGapS := 3600 / (cfg.RatePerHourPerSite * peakMult)
 	rng := rand.New(rand.NewSource(runner.TaskSeed(cfg.Seed, runner.FNV64a(site.id))))
-	var out []trafficArrival
+	var out []arrival
 	for at := time.Duration(0); ; {
 		at += time.Duration(rng.ExpFloat64() * meanGapS * float64(time.Second))
 		if at >= cfg.Horizon {
@@ -138,7 +133,7 @@ func siteStream(site trafficSite, index int, cfg TrafficConfig) []trafficArrival
 			continue // thinned: above the instantaneous rate
 		}
 		dst := site.dsts[rng.Intn(len(site.dsts))]
-		out = append(out, trafficArrival{at: at, site: index, req: netsim.Request{Src: site.id, Dst: dst}})
+		out = append(out, arrival{at: at, site: index, req: netsim.Request{Src: site.id, Dst: dst}})
 	}
 	return out
 }
@@ -147,12 +142,12 @@ func siteStream(site trafficSite, index int, cfg TrafficConfig) []trafficArrival
 // pool) and merges them into one deterministic arrival order: time-sorted,
 // ties broken by canonical site index, per-site order preserved. Request
 // IDs number the merged stream sequentially from 1.
-func (sc *Scenario) generateTraffic(cfg TrafficConfig) ([]trafficArrival, error) {
+func (sc *Scenario) generateTraffic(cfg TrafficConfig) ([]arrival, error) {
 	sites, err := sc.trafficSites()
 	if err != nil {
 		return nil, err
 	}
-	perSite := make([][]trafficArrival, len(sites))
+	perSite := make([][]arrival, len(sites))
 	err = runner.Map(context.Background(), len(sites), cfg.Workers, func(_ context.Context, i int) error {
 		perSite[i] = siteStream(sites[i], i, cfg)
 		return nil
@@ -160,7 +155,7 @@ func (sc *Scenario) generateTraffic(cfg TrafficConfig) ([]trafficArrival, error)
 	if err != nil {
 		return nil, err
 	}
-	var merged []trafficArrival
+	var merged []arrival
 	for _, s := range perSite {
 		merged = append(merged, s...)
 	}
@@ -219,13 +214,12 @@ func (sc *Scenario) trafficLabel(seed int64) string {
 }
 
 // RunTraffic executes the traffic engine against the scenario: the merged
-// per-site arrival streams feed the same batched admission core as
-// RunArrivals — pooled snapshot per topology update, Dijkstra memo, FIFO
-// drain. Instrumented scenarios additionally record one event per topology
-// step (arrivals in the window, served, queue depth, snapshot counters) on
-// the collector's sink, which is what the serve daemon streams back as
-// NDJSON. Everything is seeded; a run is a pure function of
-// (scenario, config).
+// per-site arrival streams feed the same admission core as RunArrivals —
+// topology refresh per update, Dijkstra memo, FIFO drain. Instrumented
+// scenarios additionally record one event per topology step (arrivals in
+// the window, served, queue depth, snapshot counters) on the collector's
+// sink, which is what the serve daemon streams back as NDJSON. Everything
+// is seeded; a run is a pure function of (scenario, config).
 func (sc *Scenario) RunTraffic(cfg TrafficConfig) (*TrafficResult, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
@@ -241,63 +235,37 @@ func (sc *Scenario) RunTraffic(cfg TrafficConfig) (*TrafficResult, error) {
 	}
 	res := &TrafficResult{Config: cfg, Sites: len(sites), Arrivals: len(arrivals)}
 
-	tel := sc.tel
-	var label string
-	if tel != nil {
-		label = sc.trafficLabel(cfg.Seed)
-	}
-
 	ad := newAdmission(sc)
-	step := sc.Params.TopologyStep()
-	next := time.Duration(0)
-	i := 0
-	stepIdx := 0
-	lastServed, lastArrivals := 0, 0
-	var lastFidSum float64
-	for next <= cfg.Horizon || i < len(arrivals) {
-		// Updates run before same-instant arrivals, as in RunArrivals.
-		if next <= cfg.Horizon && (i >= len(arrivals) || next <= arrivals[i].at) {
-			var st netsim.SnapshotStats
-			var stp *netsim.SnapshotStats
-			if tel != nil {
-				stp = &st
-			}
-			if err := ad.refresh(next, stp); err != nil {
-				return nil, err
-			}
-			if _, err := ad.drain(next); err != nil {
-				return nil, err
-			}
-			if tel != nil {
-				// i arrivals ran strictly before this update (same-instant
-				// arrivals are still pending), so i - lastArrivals is the
-				// window count.
-				served := ad.served - lastServed
-				fidSum := ad.fidSum - lastFidSum
-				tel.requestsServed.Add(uint64(served))
-				sc.recordStepEvent(label, stepIdx, next, &st, func(e *telemetry.Event) {
-					e.Arrivals = int64(i - lastArrivals)
-					e.Served = int64(served)
-					e.QueueDepth = int64(len(ad.queue))
-					if served > 0 {
-						e.MeanFidelity = fidSum / float64(served)
-					}
-				})
-				lastServed = ad.served
-				lastArrivals = i
-				lastFidSum = ad.fidSum
-			}
-			next += step
-			stepIdx++
-		} else {
-			if err := ad.arrive(arrivals[i].at, arrivals[i].req); err != nil {
-				return nil, err
-			}
-			i++
+	grid := sc.updateGrid(cfg.Horizon)
+	var onStep func(k int, at time.Duration, st *netsim.SnapshotStats, admitted int)
+	tel := sc.tel
+	if tel != nil {
+		label := sc.trafficLabel(cfg.Seed)
+		lastServed, lastArrivals := 0, 0
+		var lastFidSum float64
+		onStep = func(k int, at time.Duration, st *netsim.SnapshotStats, admitted int) {
+			// admitted arrivals ran strictly before this update
+			// (same-instant arrivals are still pending), so admitted -
+			// lastArrivals is the window count.
+			served := ad.served - lastServed
+			fidSum := ad.fidSum - lastFidSum
+			tel.requestsServed.Add(uint64(served))
+			sc.recordStepEvent(label, k, at, st, func(e *telemetry.Event) {
+				e.Arrivals = int64(admitted - lastArrivals)
+				e.Served = int64(served)
+				e.QueueDepth = int64(len(ad.queue))
+				if served > 0 {
+					e.MeanFidelity = fidSum / float64(served)
+				}
+			})
+			lastServed, lastArrivals, lastFidSum = ad.served, admitted, ad.fidSum
 		}
 	}
+	if err := ad.run(grid, arrivals, onStep); err != nil {
+		return nil, err
+	}
 
-	res.Steps = stepIdx
+	res.Steps = grid.steps
 	res.Served = ad.served
 	res.ServedImmediately = ad.immediate
 	res.RequestsEvaluated = ad.evaluated
@@ -311,9 +279,7 @@ func (sc *Scenario) RunTraffic(cfg TrafficConfig) (*TrafficResult, error) {
 		for _, f := range ad.fids {
 			tel.fidelity.Observe(f)
 		}
-		if ad.pe != nil {
-			tel.addProto(&ad.proto)
-		}
+		tel.addProto(&ad.proto)
 	}
 	return res, nil
 }

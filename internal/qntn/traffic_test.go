@@ -2,6 +2,7 @@ package qntn
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -227,6 +228,30 @@ func TestTrafficRejectsBadConfig(t *testing.T) {
 		if _, err := sc.RunTraffic(cfg); err == nil {
 			t.Fatalf("%s accepted", name)
 		}
+	}
+
+	// Non-finite shapes once slipped past the range checks (NaN compares
+	// false) or zeroed the interarrival gap (+Inf rate), and the site
+	// generators never reached the horizon; each must be rejected promptly.
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name string
+		cfg  TrafficConfig
+	}{
+		{"NaN rate", TrafficConfig{RatePerHourPerSite: nan}},
+		{"+Inf rate", TrafficConfig{RatePerHourPerSite: inf}},
+		{"NaN amplitude", TrafficConfig{RatePerHourPerSite: 10, Diurnal: DiurnalProfile{Amplitude: nan}}},
+		{"NaN peak hour", TrafficConfig{RatePerHourPerSite: 10, Diurnal: DiurnalProfile{Amplitude: 0.5, PeakHour: nan}}},
+		{"+Inf peak hour", TrafficConfig{RatePerHourPerSite: 10, Diurnal: DiurnalProfile{Amplitude: 0.5, PeakHour: inf}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.cfg.Horizon = time.Hour
+			var err error
+			withinDeadline(t, 10*time.Second, func() { _, err = sc.RunTraffic(tc.cfg) })
+			if err == nil {
+				t.Fatalf("%+v accepted", tc.cfg)
+			}
+		})
 	}
 
 	// Single-LAN scenarios cannot form inter-LAN traffic.
