@@ -14,6 +14,15 @@ import (
 	"qntn/internal/qntn"
 )
 
+// Server timeouts bound how long a client may hold a connection without
+// making progress. There is deliberately no write timeout: a query's NDJSON
+// response streams for the whole run.
+const (
+	daemonReadHeaderTimeout = 10 * time.Second
+	daemonReadTimeout       = 30 * time.Second
+	daemonIdleTimeout       = 2 * time.Minute
+)
+
 // runServeDaemon starts the persistent traffic-engine daemon on -addr and
 // blocks until SIGINT/SIGTERM, then drains in-flight queries before
 // returning. The listen address is printed once the socket is bound, so
@@ -30,7 +39,12 @@ func runServeDaemon(w io.Writer, p qntn.Params, addr string) error {
 	fmt.Fprintf(w, "serve-daemon listening on %s\n", ln.Addr())
 	fmt.Fprintf(w, "POST /v1/traffic for NDJSON results, GET /metrics for Prometheus metrics\n")
 
-	srv := &http.Server{Handler: d.Handler()}
+	srv := &http.Server{
+		Handler:           d.Handler(),
+		ReadHeaderTimeout: daemonReadHeaderTimeout,
+		ReadTimeout:       daemonReadTimeout,
+		IdleTimeout:       daemonIdleTimeout,
+	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 

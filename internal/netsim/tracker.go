@@ -22,7 +22,10 @@ type LinkChange struct {
 // up/down events — the churn view of the dynamic satellite topology
 // (QuNetSim's connect/disconnect callbacks, made deterministic).
 type LinkTracker struct {
-	prev    map[[2]string]float64
+	prev map[[2]string]float64
+	// spare is the map the next observation is built in; it trades places
+	// with prev after every observation.
+	spare   map[[2]string]float64
 	changes []LinkChange
 	// Flaps counts transitions per link.
 	flaps map[[2]string]int
@@ -32,6 +35,7 @@ type LinkTracker struct {
 func NewLinkTracker() *LinkTracker {
 	return &LinkTracker{
 		prev:  make(map[[2]string]float64),
+		spare: make(map[[2]string]float64),
 		flaps: make(map[[2]string]int),
 	}
 }
@@ -40,15 +44,12 @@ func NewLinkTracker() *LinkTracker {
 // changes relative to the previous observation. The first observation
 // records every existing link as an Up event at t.
 func (lt *LinkTracker) Observe(t time.Duration, g *routing.Graph) []LinkChange {
-	current := make(map[[2]string]float64)
-	for _, a := range g.Nodes() {
-		for _, b := range g.Neighbors(a) {
-			if a < b {
-				eta, _ := g.Eta(a, b)
-				current[[2]string{a, b}] = eta
-			}
-		}
-	}
+	current := lt.spare
+	clear(current)
+	g.EachEdge(func(i, j int, eta float64) {
+		a, b := g.NodeID(i), g.NodeID(j)
+		current[[2]string{min(a, b), max(a, b)}] = eta
+	})
 	var batch []LinkChange
 	for key, eta := range current {
 		if _, existed := lt.prev[key]; !existed {
@@ -73,7 +74,7 @@ func (lt *LinkTracker) Observe(t time.Duration, g *routing.Graph) []LinkChange {
 		lt.flaps[[2]string{c.A, c.B}]++
 	}
 	lt.changes = append(lt.changes, batch...)
-	lt.prev = current
+	lt.prev, lt.spare = current, lt.prev
 	return batch
 }
 

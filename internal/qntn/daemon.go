@@ -2,6 +2,7 @@ package qntn
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -167,6 +168,11 @@ func (d *Daemon) prepare(q TrafficQuery) (*Scenario, TrafficConfig, error) {
 	}
 }
 
+// maxQueryBytes bounds a traffic query body. A valid query is a few hundred
+// bytes; the limit only stops a client from streaming an unbounded body
+// into the decoder.
+const maxQueryBytes = 64 << 10
+
 // fail records a query error and writes the HTTP error response.
 func (d *Daemon) fail(w http.ResponseWriter, code int, err error) {
 	d.queryErrors.Inc()
@@ -182,11 +188,15 @@ func (d *Daemon) handleTraffic(w http.ResponseWriter, r *http.Request) {
 	defer d.inflight.Add(-1)
 	d.queries.Inc()
 
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxQueryBytes))
 	dec.DisallowUnknownFields()
 	var q TrafficQuery
 	if err := dec.Decode(&q); err != nil {
-		d.fail(w, http.StatusBadRequest, fmt.Errorf("qntn: traffic query: %w", err))
+		code := http.StatusBadRequest
+		if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		d.fail(w, code, fmt.Errorf("qntn: traffic query: %w", err))
 		return
 	}
 	sc, cfg, err := d.prepare(q)

@@ -224,6 +224,34 @@ func TestDaemonRejectsBadQueries(t *testing.T) {
 	}
 }
 
+// TestDaemonBoundsQueryBody pins the request-body limit: a valid query
+// behind 1 MiB of leading whitespace is answered 413 without running, while
+// the same query unpadded still runs. (Trailing padding would never be read:
+// the decoder stops after the object.)
+func TestDaemonBoundsQueryBody(t *testing.T) {
+	d := newTestDaemon(t)
+	srv := httptest.NewServer(d.Handler())
+	defer srv.Close()
+
+	query := `{"arch":"air-ground","rate_per_hour_per_site":2,"horizon":"10m","seed":1}`
+	resp := postTraffic(t, srv.URL, strings.Repeat(" ", 1<<20)+query)
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("padded query: status %d, want 413", resp.StatusCode)
+	}
+	if got := d.reg.Counter("daemon_query_errors_total").Value(); got != 1 {
+		t.Fatalf("error counter %d, want 1", got)
+	}
+
+	resp = postTraffic(t, srv.URL, query)
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("unpadded query: status %d, want 200", resp.StatusCode)
+	}
+}
+
 // TestDaemonSharedEphemerisCache pins the cross-request cache: two
 // space-ground queries with one horizon propagate the catalog once, and a
 // different horizon builds a second cache entry.

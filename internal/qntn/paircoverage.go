@@ -31,10 +31,11 @@ type CoverageDetail struct {
 	LinkTransitions int
 }
 
-// bridgedPairs computes, for one snapshot, which LAN pairs are connected.
-// Returns the pair map and whether all LANs share one component.
-func (sc *Scenario) bridgedPairs(g *routing.Graph) (map[[2]string]bool, bool) {
-	uf := newUnionFind(g.NumNodes())
+// bridgedPairs computes, for one snapshot, which LAN pairs are connected,
+// with a caller-owned union-find reused across snapshots. Returns the pair
+// map and whether all LANs share one component.
+func (sc *Scenario) bridgedPairs(uf *unionFind, g *routing.Graph) (map[[2]string]bool, bool) {
+	uf.ensure(g.NumNodes())
 	g.EachEdge(func(i, j int, _ float64) { uf.union(i, j) })
 	roots := make(map[string]int, len(sc.LANs))
 	for _, lan := range sc.LANs {
@@ -88,6 +89,7 @@ func (sc *Scenario) DetailedCoverage(duration time.Duration) (*CoverageDetail, e
 		}
 	}
 	tracker := netsim.NewLinkTracker() // copies edges, so the source may reuse its graph
+	uf := &unionFind{}                 // reused across every topology step
 	for k := 0; k < grid.steps; k++ {
 		g, _, err := src.step(k)
 		if err != nil {
@@ -98,7 +100,7 @@ func (sc *Scenario) DetailedCoverage(duration time.Duration) (*CoverageDetail, e
 		if k > 0 {
 			detail.LinkTransitions += len(changes)
 		}
-		pairs, all := sc.bridgedPairs(g)
+		pairs, all := sc.bridgedPairs(uf, g)
 		accumulate(&detail.All, at, step, all)
 		for pi := range detail.Pairs {
 			pc := &detail.Pairs[pi]

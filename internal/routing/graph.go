@@ -9,6 +9,7 @@ package routing
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -20,10 +21,12 @@ const absentEdge = -1
 // η ∈ [0, 1]. Nodes are identified by string IDs.
 //
 // The adjacency is a dense n×n matrix backed by a single slice, sized for
-// the simulator's topology snapshots (O(100) nodes, re-evaluated at
-// thousands of instants). Reset and ResetEdges let callers reuse one Graph
-// across snapshots without reallocating; see those methods for the
-// invariants.
+// the simulator's topology snapshots (O(100)–O(1000) nodes, re-evaluated at
+// thousands of instants), next to an ascending list of the live edges.
+// The matrix answers edge lookups in O(1); the list lets ResetEdges and
+// EachEdge cost O(E) rather than O(n²). Reset and ResetEdges let callers
+// reuse one Graph across snapshots without reallocating; see those methods
+// for the invariants.
 type Graph struct {
 	ids   []string
 	index map[string]int
@@ -31,10 +34,25 @@ type Graph struct {
 	// The matrix is materialized lazily on the first edge operation and
 	// covers the first matN nodes; nodes added after that have no edges
 	// until the next edge operation re-strides it.
-	mat   []float64
-	matN  int
-	edges int
+	mat  []float64
+	matN int
+	// keys lists the live edges as edgeKey(i, j), ascending, so it is the
+	// row-major i < j order of the matrix. Every matrix mutator keeps it
+	// in step; its length is the edge count.
+	keys []uint64
 }
+
+// edgeKey packs the undirected edge i-j as min<<32 | max, so ascending
+// keys are ascending (i, j) with i < j.
+func edgeKey(i, j int) uint64 {
+	if i > j {
+		i, j = j, i
+	}
+	return uint64(i)<<32 | uint64(j)
+}
+
+// unpackKey inverts edgeKey.
+func unpackKey(k uint64) (i, j int) { return int(k >> 32), int(k & 0xffffffff) }
 
 // NewGraph returns an empty graph.
 func NewGraph() *Graph {
@@ -63,10 +81,10 @@ func (g *Graph) ensureMat() {
 		return
 	}
 	need := n * n
-	if g.edges > 0 && g.matN > 0 {
+	if len(g.keys) > 0 {
 		// Re-striding with live edges: build a fresh matrix and copy the
 		// old rows into place (growing in-place would alias old and new
-		// strides).
+		// strides). Keys do not depend on the stride, so the list stands.
 		old, oldN := g.mat, g.matN
 		//qntn:coldpath re-stride happens only when nodes were added
 		m := make([]float64, need)
@@ -99,39 +117,60 @@ func (g *Graph) Reset() {
 	clear(g.index)
 	g.mat = g.mat[:0]
 	g.matN = 0
-	g.edges = 0
+	g.keys = g.keys[:0]
 }
 
-// ResetEdges removes every edge while keeping the node set, re-striding the
-// matrix for nodes added since the last edge operation. This is the
-// per-snapshot reuse entry point for topologies whose node set is fixed.
+// ResetEdges removes every edge while keeping the node set. In the steady
+// state (no nodes added since the last edge operation) it clears only the
+// listed edges, O(E); otherwise it re-sizes and clears the whole matrix for
+// the new node count. This is the per-snapshot reuse entry point for
+// topologies whose node set is fixed.
 //
 //qntn:hotpath once per snapshot; steady state reuses the backing array
 func (g *Graph) ResetEdges() {
-	n := len(g.ids)
-	need := n * n
-	if cap(g.mat) >= need {
-		g.mat = g.mat[:need]
-	} else {
-		//qntn:coldpath amortized capacity growth
-		g.mat = make([]float64, need)
+	if n := len(g.ids); g.matN == n {
+		for _, k := range g.keys {
+			i, j := unpackKey(k)
+			g.mat[i*n+j] = absentEdge
+			g.mat[j*n+i] = absentEdge
+		}
 	}
-	for i := range g.mat {
-		g.mat[i] = absentEdge
-	}
-	g.matN = n
-	g.edges = 0
+	g.keys = g.keys[:0]
+	g.ensureMat()
 }
 
 // setEdge stores eta on the undirected edge i-j; indices must be < matN.
+// A new edge is listed in key order: snapshot assembly admits edges
+// ascending, so that is an append; out-of-order deltas shift into place.
 //
 //qntn:hotpath
 func (g *Graph) setEdge(i, j int, eta float64) {
 	if g.mat[i*g.matN+j] < 0 {
-		g.edges++
+		k := edgeKey(i, j)
+		n := len(g.keys)
+		//qntn:coldpath amortized growth: keys reuse their capacity across steps
+		g.keys = append(g.keys, k)
+		if n > 0 && g.keys[n-1] > k {
+			at, _ := slices.BinarySearch(g.keys[:n], k)
+			copy(g.keys[at+1:], g.keys[at:n])
+			g.keys[at] = k
+		}
 	}
 	g.mat[i*g.matN+j] = eta
 	g.mat[j*g.matN+i] = eta
+}
+
+// removeEdge clears the undirected edge i-j and unlists it if present;
+// indices must be < matN.
+func (g *Graph) removeEdge(i, j int) {
+	if g.mat[i*g.matN+j] < 0 {
+		return
+	}
+	g.mat[i*g.matN+j] = absentEdge
+	g.mat[j*g.matN+i] = absentEdge
+	at, _ := slices.BinarySearch(g.keys, edgeKey(i, j))
+	copy(g.keys[at:], g.keys[at+1:])
+	g.keys = g.keys[:len(g.keys)-1]
 }
 
 // AddEdge inserts (or updates) the undirected edge a-b with the given
@@ -176,11 +215,7 @@ func (g *Graph) RemoveEdge(a, b string) {
 	if !oki || !okj || i >= g.matN || j >= g.matN {
 		return
 	}
-	if g.mat[i*g.matN+j] >= 0 {
-		g.edges--
-	}
-	g.mat[i*g.matN+j] = absentEdge
-	g.mat[j*g.matN+i] = absentEdge
+	g.removeEdge(i, j)
 }
 
 // RemoveEdgeByIndex deletes the undirected edge between the nodes at dense
@@ -193,18 +228,14 @@ func (g *Graph) RemoveEdgeByIndex(i, j int) {
 	if i < 0 || j < 0 || i >= g.matN || j >= g.matN {
 		return
 	}
-	if g.mat[i*g.matN+j] >= 0 {
-		g.edges--
-	}
-	g.mat[i*g.matN+j] = absentEdge
-	g.mat[j*g.matN+i] = absentEdge
+	g.removeEdge(i, j)
 }
 
 // NumNodes returns the node count.
 func (g *Graph) NumNodes() int { return len(g.ids) }
 
 // NumEdges returns the undirected edge count.
-func (g *Graph) NumEdges() int { return g.edges }
+func (g *Graph) NumEdges() int { return len(g.keys) }
 
 // Nodes returns the node IDs in insertion order.
 func (g *Graph) Nodes() []string {
@@ -212,6 +243,10 @@ func (g *Graph) Nodes() []string {
 	copy(out, g.ids)
 	return out
 }
+
+// NodeID returns the ID of the node at dense index i (as returned by
+// AddNode or passed to EachEdge's callback).
+func (g *Graph) NodeID(i int) string { return g.ids[i] }
 
 // HasNode reports whether id is present.
 func (g *Graph) HasNode(id string) bool {
@@ -251,18 +286,14 @@ func (g *Graph) Eta(a, b string) (float64, bool) {
 	return g.etaAt(i, j)
 }
 
-// EachEdge calls fn for every undirected edge (i < j) in deterministic
-// index order, without allocating.
+// EachEdge calls fn for every undirected edge (i < j) in ascending (i, j)
+// order, without allocating. It walks the live-edge list, O(E).
 //
 //qntn:hotpath
 func (g *Graph) EachEdge(fn func(i, j int, eta float64)) {
-	for i := 0; i < g.matN; i++ {
-		row := g.mat[i*g.matN : (i+1)*g.matN]
-		for j := i + 1; j < g.matN; j++ {
-			if row[j] >= 0 {
-				fn(i, j, row[j])
-			}
-		}
+	for _, k := range g.keys {
+		i, j := unpackKey(k)
+		fn(i, j, g.mat[i*g.matN+j])
 	}
 }
 

@@ -8,7 +8,7 @@ func (g *Graph) Clone() *Graph {
 	for _, id := range g.ids {
 		c.AddNode(id)
 	}
-	if g.edges > 0 {
+	if g.NumEdges() > 0 {
 		c.ensureMat()
 		g.EachEdge(func(i, j int, eta float64) {
 			c.setEdge(i, j, eta)
