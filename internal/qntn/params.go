@@ -127,7 +127,9 @@ type Params struct {
 	// pre-protocol behavior by construction.
 	Protocol protocol.Config
 
-	// RoutingEpsilon is the ε of the 1/(η+ε) cost metric.
+	// RoutingEpsilon is the ε of the 1/(η+ε) cost metric; 0 means
+	// routing.DefaultEpsilon. Validate rejects negative and non-finite
+	// values.
 	RoutingEpsilon float64
 
 	// Telemetry, when non-nil, instruments every scenario assembled from
@@ -249,6 +251,8 @@ func (p Params) Validate() error {
 		return fmt.Errorf("qntn: twilight angle %g outside [0, π/2)", p.TwilightRad)
 	case p.HAPOutageProbability < 0 || p.HAPOutageProbability > 1:
 		return fmt.Errorf("qntn: HAP outage probability %g outside [0,1]", p.HAPOutageProbability)
+	case !(p.RoutingEpsilon >= 0) || math.IsInf(p.RoutingEpsilon, 1):
+		return fmt.Errorf("qntn: routing epsilon %g is not a finite non-negative number", p.RoutingEpsilon)
 	}
 	if err := p.Fault.Validate(); err != nil {
 		return fmt.Errorf("qntn: %w", err)

@@ -70,6 +70,10 @@ func TestParamsValidateRejects(t *testing.T) {
 		func(p *Params) { p.SatelliteAltitudeM = 0 },
 		func(p *Params) { p.HAPAltM = -1 },
 		func(p *Params) { p.StepInterval = 0 },
+		func(p *Params) { p.RoutingEpsilon = math.NaN() },
+		func(p *Params) { p.RoutingEpsilon = math.Inf(1) },
+		func(p *Params) { p.RoutingEpsilon = math.Inf(-1) },
+		func(p *Params) { p.RoutingEpsilon = -1e-6 },
 	}
 	for i, mutate := range mutations {
 		p := DefaultParams()

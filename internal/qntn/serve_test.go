@@ -253,3 +253,40 @@ func TestWorkload(t *testing.T) {
 		t.Fatal("request IDs should increase")
 	}
 }
+
+// TestRoutingEpsilonValidatedAndSafe: Validate rejects a non-finite or
+// negative RoutingEpsilon and still accepts 0 (DefaultEpsilon); a NaN or
+// +Inf set after construction routes as the default ε instead of turning
+// every multi-hop cost into NaN (nothing served) or every edge cost into 0
+// (arbitrary routes).
+func TestRoutingEpsilonValidatedAndSafe(t *testing.T) {
+	p := DefaultParams()
+	p.RoutingEpsilon = 0
+	if err := p.Validate(); err != nil {
+		t.Fatalf("ε = 0 rejected: %v", err)
+	}
+	p.RoutingEpsilon = math.NaN()
+	if _, err := NewAirGround(p); err == nil {
+		t.Fatal("NewAirGround accepted ε = NaN")
+	}
+
+	sc, err := NewAirGround(DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := sc.RunServe(quickServeCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, eps := range []float64{math.NaN(), math.Inf(1)} {
+		sc.Params.RoutingEpsilon = eps
+		got, err := sc.RunServe(quickServeCfg())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.ServedPercent != want.ServedPercent || got.MeanFidelity != want.MeanFidelity {
+			t.Errorf("ε = %g: served %.1f%% F %.4f, default ε serves %.1f%% F %.4f",
+				eps, got.ServedPercent, got.MeanFidelity, want.ServedPercent, want.MeanFidelity)
+		}
+	}
+}

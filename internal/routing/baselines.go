@@ -10,22 +10,20 @@ import (
 // be positive.
 type CostFunc func(eta float64) float64
 
-// InverseEtaCost returns the paper's cost function 1/(η+ε).
+// InverseEtaCost returns the paper's cost function 1/(η+ε). An epsilon
+// that is not a positive finite number means DefaultEpsilon.
 func InverseEtaCost(epsilon float64) CostFunc {
-	if epsilon <= 0 {
-		epsilon = DefaultEpsilon
-	}
+	epsilon = validEpsilon(epsilon)
 	return func(eta float64) float64 { return CostFromEta(eta, epsilon) }
 }
 
 // NegLogEtaCost returns −log(η) with η clamped to [ε, 1]. Minimizing its
 // sum maximizes the product of transmissivities, i.e. finds the true best
 // end-to-end transmissivity path. Used as the optimal baseline in the
-// routing-metric ablation.
+// routing-metric ablation. An epsilon that is not a positive finite
+// number means DefaultEpsilon.
 func NegLogEtaCost(epsilon float64) CostFunc {
-	if epsilon <= 0 {
-		epsilon = DefaultEpsilon
-	}
+	epsilon = validEpsilon(epsilon)
 	return func(eta float64) float64 {
 		if eta < epsilon {
 			eta = epsilon

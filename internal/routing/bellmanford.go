@@ -3,6 +3,8 @@ package routing
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 )
 
 // DefaultEpsilon is the small positive ε of the paper's 1/(η+ε) cost
@@ -42,6 +44,15 @@ type BellmanFordScratch struct {
 	// are nbrs[off[u]:off[u+1]], ascending.
 	nbrs []int32
 	off  []int32
+	// words is ⌈n/64⌉, the stride of the node bitsets below.
+	words int
+	// adj[u*words:(u+1)*words] is node u's neighbor set.
+	adj []uint64
+	// pend[i*words:(i+1)*words] is the set of destinations u whose entry
+	// (i, u) row i's next pass must re-evaluate; cur is the set of the
+	// pass in progress.
+	pend []uint64
+	cur  []uint64
 	// rounds is the number of relaxation rounds the last Run executed
 	// before converging (early exit included).
 	rounds int
@@ -54,19 +65,31 @@ func (s *BellmanFordScratch) Rounds() int { return s.rounds }
 
 // BellmanFord runs the paper's Algorithm 1 on the graph: every node
 // initializes a table with cost 0 to itself, 1/(η+ε) to adjacent nodes and
-// +Inf elsewhere, then N−1 synchronous rounds of relaxation over all graph
-// edges update each table. Callers converging tables for many topology
-// snapshots should allocate a BellmanFordScratch and call Run instead.
+// +Inf elsewhere, then up to N−1 rounds of relaxation update each table.
+// A round updates the tables in place (Gauss–Seidel): row i, destination u
+// and neighbor v of u are taken in ascending order, and each improvement
+// is visible to every later evaluation of the same round, which is why
+// snapshot topologies converge in one or two rounds. Callers converging
+// tables for many topology snapshots should allocate a BellmanFordScratch
+// and call Run instead.
 func BellmanFord(g *Graph, epsilon float64) *Tables {
 	return new(BellmanFordScratch).Run(g, epsilon)
 }
 
-// Run converges the Algorithm 1 tables for g, reusing the scratch buffers.
-// The result is valid until the next Run call on the same scratch.
-func (s *BellmanFordScratch) Run(g *Graph, epsilon float64) *Tables {
-	if epsilon <= 0 {
-		epsilon = DefaultEpsilon
+// validEpsilon returns epsilon when it is a positive finite number and
+// DefaultEpsilon otherwise (zero, negative, NaN or ±Inf).
+func validEpsilon(epsilon float64) float64 {
+	if !(epsilon > 0) || math.IsInf(epsilon, 1) {
+		return DefaultEpsilon
 	}
+	return epsilon
+}
+
+// Run converges the Algorithm 1 tables for g, reusing the scratch buffers.
+// The result is valid until the next Run call on the same scratch. An
+// epsilon that is not a positive finite number means DefaultEpsilon.
+func (s *BellmanFordScratch) Run(g *Graph, epsilon float64) *Tables {
+	epsilon = validEpsilon(epsilon)
 	t := &s.t
 	t.Epsilon = epsilon
 	s.rounds = 0
@@ -75,36 +98,18 @@ func (s *BellmanFordScratch) Run(g *Graph, epsilon float64) *Tables {
 	if n == 0 {
 		return t
 	}
-	if cap(t.cost) >= n*n {
-		t.cost = t.cost[:n*n]
-		t.via = t.via[:n*n]
-	} else {
-		t.cost = make([]float64, n*n)
-		t.via = make([]int32, n*n)
-	}
+	s.words = (n + 63) / 64
+	t.cost = resize(t.cost, n*n)
+	t.via = resize(t.via, n*n)
+	s.off = resize(s.off, n+1)
+	s.nbrs = resize(s.nbrs, 2*len(g.keys))
+	s.adj = resize(s.adj, n*s.words)
+	s.pend = resize(s.pend, n*s.words)
+	s.cur = resize(s.cur, s.words)
 
-	// Flatten the (ascending) neighbor lists once for deterministic,
-	// allocation-free iteration during the update rounds.
-	s.nbrs = s.nbrs[:0]
-	if cap(s.off) >= n+1 {
-		s.off = s.off[:1]
-	} else {
-		s.off = make([]int32, 1, n+1)
-	}
-	s.off[0] = 0
-	for u := 0; u < n; u++ {
-		if u < g.matN {
-			row := g.mat[u*g.matN : (u+1)*g.matN]
-			for v, eta := range row {
-				if eta >= 0 {
-					s.nbrs = append(s.nbrs, int32(v))
-				}
-			}
-		}
-		s.off = append(s.off, int32(len(s.nbrs)))
-	}
-
+	s.flatten(g)
 	s.initialize(g, epsilon)
+	s.seed()
 
 	// N−1 rounds of UPDATE (Algorithm 1), with early exit once a round
 	// improves nothing.
@@ -117,65 +122,177 @@ func (s *BellmanFordScratch) Run(g *Graph, epsilon float64) *Tables {
 	return t
 }
 
-// initialize seeds the tables per Algorithm 1's INITIALIZE: cost 0 to
-// self, 1/(η+ε) to adjacent nodes, +Inf elsewhere. Buffers are sized by
-// Run before the call.
+// resize returns buf with length n, reallocating only when its capacity
+// is short. The contents are unspecified.
+func resize[T int32 | float64 | uint64](buf []T, n int) []T {
+	if cap(buf) >= n {
+		return buf[:n]
+	}
+	return make([]T, n)
+}
+
+// flatten builds the ascending neighbor lists and neighbor bitsets from
+// the graph's live-edge list in O(n+E). The list is ascending (i, j) with
+// i < j, so appending j to i and i to j in list order leaves every node's
+// neighbors ascending: first the smaller ones (keys (a, u), a < u), then
+// the larger ones (keys (u, b)).
 //
-//qntn:hotpath runs on every converged snapshot; buffers are pre-sized
+//qntn:hotpath runs on every converged snapshot; buffers are sized by Run
+func (s *BellmanFordScratch) flatten(g *Graph) {
+	n, w := s.t.n, s.words
+	off, adj := s.off, s.adj
+	clear(off)
+	clear(adj)
+	for _, k := range g.keys {
+		i, j := unpackKey(k)
+		off[i+1]++
+		off[j+1]++
+		adj[i*w+j>>6] |= 1 << (j & 63)
+		adj[j*w+i>>6] |= 1 << (i & 63)
+	}
+	for u := 0; u < n; u++ {
+		off[u+1] += off[u]
+	}
+	// Fill with off[u] as node u's cursor, then shift the advanced cursors
+	// (each now the end of its list) back into start offsets.
+	for _, k := range g.keys {
+		i, j := unpackKey(k)
+		s.nbrs[off[i]] = int32(j)
+		off[i]++
+		s.nbrs[off[j]] = int32(i)
+		off[j]++
+	}
+	copy(off[1:], off[:n])
+	off[0] = 0
+}
+
+// initialize seeds the tables per Algorithm 1's INITIALIZE: cost 0 to
+// self, 1/(η+ε) to adjacent nodes, +Inf elsewhere.
+//
+//qntn:hotpath runs on every converged snapshot; buffers are sized by Run
 func (s *BellmanFordScratch) initialize(g *Graph, epsilon float64) {
 	t := &s.t
 	n := t.n
-	inf := math.Inf(1)
+	fill(t.cost, math.Inf(1))
+	fill(t.via, -1)
 	for i := 0; i < n; i++ {
 		row := t.cost[i*n : (i+1)*n]
 		vrow := t.via[i*n : (i+1)*n]
-		var arow []float64
-		if i < g.matN {
-			arow = g.mat[i*g.matN : (i+1)*g.matN]
+		row[i] = 0
+		for _, v := range s.nbrs[s.off[i]:s.off[i+1]] {
+			row[v] = CostFromEta(g.mat[i*g.matN+int(v)], epsilon)
+			vrow[v] = v
 		}
-		for j := 0; j < n; j++ {
-			switch {
-			case i == j:
-				row[j] = 0
-				vrow[j] = -1
-			case j < len(arow) && arow[j] >= 0:
-				row[j] = CostFromEta(arow[j], epsilon)
-				vrow[j] = int32(j)
-			default:
-				row[j] = inf
-				vrow[j] = -1
+	}
+}
+
+// fill sets every element of buf to x, doubling the filled prefix with
+// one copy per step.
+func fill[T int32 | float64](buf []T, x T) {
+	if len(buf) == 0 {
+		return
+	}
+	buf[0] = x
+	for k := 1; k < len(buf); k *= 2 {
+		copy(buf[k:], buf[:k])
+	}
+}
+
+// seed marks, for every row i, the destinations the first round must
+// evaluate: an evaluation (i, u, v) can only improve row i's entry for u
+// when cost(i→v) is finite, which before any update means v is a neighbor
+// of i, so row i starts with the union of its neighbors' neighbor sets.
+//
+//qntn:hotpath runs on every converged snapshot; buffers are sized by Run
+func (s *BellmanFordScratch) seed() {
+	w := s.words
+	for i := 0; i < s.t.n; i++ {
+		p := s.pend[i*w : (i+1)*w]
+		clear(p)
+		for _, v := range s.nbrs[s.off[i]:s.off[i+1]] {
+			for k, m := range s.adj[int(v)*w : (int(v)+1)*w] {
+				p[k] |= m
 			}
 		}
 	}
 }
 
-// relax runs one synchronous UPDATE round of Algorithm 1 — for every node
-// and every edge (u, v), try reaching u through v using v's table — and
-// reports whether any table entry improved.
+// relax runs one UPDATE round of Algorithm 1 — for every node i, every
+// destination u and every neighbor v of u, try reaching u through v using
+// v's table — and reports whether any table entry improved.
 //
-//qntn:hotpath the O(N·E) inner loop of every routing convergence
+// The round makes exactly the updates, in exactly the order, of an
+// in-place sweep over all (i, u, v) in ascending order, but evaluates only
+// the destinations whose inputs moved. An evaluation (i, u, v) compares
+// cost(i→v) + cost(v→u) against cost(i→u), and cost(i→u) only ever
+// decreases, so it can succeed only if cost(i→v) or cost(v→u) changed
+// since the triple was last evaluated. Every change therefore marks the
+// destinations it feeds, at the first point of the sweep order that reads
+// it, and every unmarked evaluation is skipped as a certain no-op:
+//   - cost(i→u) feeds (i, y, u) for y ∈ nbrs(u): y > u later in this pass
+//     (cur), y < u in row i's next pass (pend[i]);
+//   - if u ∈ nbrs(i), cost(i→u) is also the edge term of (r, u, i) for
+//     every other row r: rows after i read it this round, rows before i in
+//     the next, both through pend[r].
+//
+// Cost, waypoints and the changed flag, and so Rounds, are bit-identical
+// to the full sweep's.
+//
+//qntn:hotpath the inner loop of every routing convergence; buffers are sized by Run
 func (s *BellmanFordScratch) relax() bool {
 	t := &s.t
-	n := t.n
+	n, w := t.n, s.words
+	cur := s.cur
 	changed := false
 	for i := 0; i < n; i++ {
+		pend := s.pend[i*w : (i+1)*w]
+		copy(cur, pend)
+		clear(pend)
+		own := s.adj[i*w : (i+1)*w]
 		row := t.cost[i*n : (i+1)*n]
 		vrow := t.via[i*n : (i+1)*n]
-		for u := 0; u < n; u++ {
-			if u == i {
-				continue
-			}
-			for _, v := range s.nbrs[s.off[u]:s.off[u+1]] {
-				if int(v) == i {
-					// Reaching u directly as our neighbor was already
-					// seeded in INITIALIZE.
+		for k := 0; k < w; k++ {
+			for cur[k] != 0 {
+				b := bits.TrailingZeros64(cur[k])
+				cur[k] &^= 1 << b
+				u := k<<6 | b
+				if u == i {
 					continue
 				}
-				cand := row[v] + t.cost[int(v)*n+u]
-				if cand < row[u] {
-					row[u] = cand
-					vrow[u] = v
-					changed = true
+				improved := false
+				for _, v := range s.nbrs[s.off[u]:s.off[u+1]] {
+					if int(v) == i {
+						// Reaching u directly as our neighbor was already
+						// seeded in INITIALIZE.
+						continue
+					}
+					cand := row[v] + t.cost[int(v)*n+u]
+					if cand < row[u] {
+						row[u] = cand
+						vrow[u] = v
+						improved = true
+					}
+				}
+				if !improved {
+					continue
+				}
+				changed = true
+				nu := s.adj[u*w : (u+1)*w]
+				above := ^uint64(0) << b << 1
+				for x := 0; x < k; x++ {
+					pend[x] |= nu[x]
+				}
+				pend[k] |= nu[k] &^ above
+				cur[k] |= nu[k] & above
+				for x := k + 1; x < w; x++ {
+					cur[x] |= nu[x]
+				}
+				if own[k]&(1<<b) != 0 {
+					for r := 0; r < n; r++ {
+						if r != i {
+							s.pend[r*w+k] |= 1 << b
+						}
+					}
 				}
 			}
 		}
@@ -230,7 +347,9 @@ func (t *Tables) Cost(src, dst string) (float64, error) {
 // itself (direct edge, as seeded by INITIALIZE) or an intermediate node v
 // such that cost(src→dst) = cost(src→v) + cost(v→dst) with both legs
 // resolved by the converged tables. Reconstruction therefore expands
-// waypoints recursively. Returns an error if dst is unreachable.
+// waypoints depth-first, src→v before v→dst, appending each resolved hop
+// to one path. Returns an error if dst is unreachable, or if the
+// expansion visits more than 4N segments (a cycle in the tables).
 func (t *Tables) Path(src, dst string) ([]string, error) {
 	si, ok := t.index[src]
 	if !ok {
@@ -240,41 +359,41 @@ func (t *Tables) Path(src, dst string) ([]string, error) {
 	if !ok {
 		return nil, fmt.Errorf("routing: unknown destination %q", dst)
 	}
-	budget := 4 * t.n // recursion guard
-	path, err := t.expand(si, di, &budget)
-	if err != nil {
-		return nil, err
+	// The path is built in a local buffer and returned as an exact-size
+	// copy: served paths are retained per request, so slack would stay
+	// live for the whole run.
+	var hops [16]string
+	path := append(hops[:0], t.ids[si])
+	// stack holds the segments still to expand, the next one on top; the
+	// path built so far always ends at the top segment's source.
+	var segs [32][2]int32
+	stack := append(segs[:0], [2]int32{int32(si), int32(di)})
+	budget := 4 * t.n
+	for len(stack) > 0 {
+		seg := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		a, b := int(seg[0]), int(seg[1])
+		if budget <= 0 {
+			return nil, fmt.Errorf("routing: path expansion exceeded budget (cycle in tables?)")
+		}
+		budget--
+		if a == b {
+			continue
+		}
+		if math.IsInf(t.cost[a*t.n+b], 1) {
+			return nil, fmt.Errorf("routing: %s unreachable from %s", t.ids[b], t.ids[a])
+		}
+		via := t.via[a*t.n+b]
+		if via < 0 {
+			return nil, fmt.Errorf("routing: missing waypoint for %s -> %s", t.ids[a], t.ids[b])
+		}
+		if int(via) == b {
+			path = append(path, t.ids[b])
+			continue
+		}
+		stack = append(stack, [2]int32{via, seg[1]}, [2]int32{seg[0], via})
 	}
-	return path, nil
-}
-
-func (t *Tables) expand(src, dst int, budget *int) ([]string, error) {
-	if *budget <= 0 {
-		return nil, fmt.Errorf("routing: path expansion exceeded budget (cycle in tables?)")
-	}
-	*budget--
-	if src == dst {
-		return []string{t.ids[src]}, nil
-	}
-	if math.IsInf(t.cost[src*t.n+dst], 1) {
-		return nil, fmt.Errorf("routing: %s unreachable from %s", t.ids[dst], t.ids[src])
-	}
-	via := t.via[src*t.n+dst]
-	if via < 0 {
-		return nil, fmt.Errorf("routing: missing waypoint for %s -> %s", t.ids[src], t.ids[dst])
-	}
-	if int(via) == dst {
-		return []string{t.ids[src], t.ids[dst]}, nil
-	}
-	first, err := t.expand(src, int(via), budget)
-	if err != nil {
-		return nil, err
-	}
-	second, err := t.expand(int(via), dst, budget)
-	if err != nil {
-		return nil, err
-	}
-	return append(first, second[1:]...), nil
+	return slices.Clone(path), nil
 }
 
 // Reachable reports whether dst has finite cost from src.

@@ -1,0 +1,64 @@
+package routing_test
+
+import (
+	"fmt"
+	"testing"
+	"time"
+
+	"qntn/internal/qntn"
+	"qntn/internal/routing"
+)
+
+// snapshotInstants spread over the paper's simulated day.
+var snapshotInstants = []time.Duration{0, 7 * time.Minute, 3*time.Hour + 30*time.Second, 11 * time.Hour, 17*time.Hour + 45*time.Minute, 23 * time.Hour}
+
+// TestAlgorithm1ChangeDrivenMatchesSweepSnapshots runs the differential
+// check of TestAlgorithm1ChangeDrivenMatchesSweep on real topology
+// snapshots: the 108-satellite space-ground network of Fig. 7 and the
+// air-ground network, at instants across the day, on one reused scratch.
+func TestAlgorithm1ChangeDrivenMatchesSweepSnapshots(t *testing.T) {
+	p := qntn.DefaultParams()
+	space, err := qntn.NewSpaceGround(108, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	air, err := qntn.NewAirGround(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var s routing.BellmanFordScratch
+	for _, sc := range []*qntn.Scenario{space, air} {
+		g := routing.NewGraph()
+		for _, at := range snapshotInstants {
+			if err := sc.GraphInto(g, at); err != nil {
+				t.Fatal(err)
+			}
+			routing.MatchSweep(t, fmt.Sprintf("%v at %v", sc.Arch, at), &s, g, sc.Params.RoutingEpsilon)
+		}
+	}
+}
+
+// BenchmarkBellmanFordSnapshot108 converges the Algorithm 1 tables of real
+// Fig. 7 snapshots (108 satellites plus the ground hosts) on a reused
+// scratch, cycling through instants across the day.
+func BenchmarkBellmanFordSnapshot108(b *testing.B) {
+	p := qntn.DefaultParams()
+	sc, err := qntn.NewSpaceGround(108, p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	graphs := make([]*routing.Graph, len(snapshotInstants))
+	for k, at := range snapshotInstants {
+		graphs[k] = routing.NewGraph()
+		if err := sc.GraphInto(graphs[k], at); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var s routing.BellmanFordScratch
+	s.Run(graphs[0], p.RoutingEpsilon)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Run(graphs[i%len(graphs)], p.RoutingEpsilon)
+	}
+}
