@@ -32,13 +32,15 @@ type Extinction struct {
 	ScaleHeightM float64
 }
 
-// Validate reports whether the parameters are physical.
+// Validate reports whether the parameters are physical: a finite,
+// non-negative optical depth and scale height. The comparisons are written
+// so that NaN fails them.
 func (e Extinction) Validate() error {
-	if e.ZenithOpticalDepth < 0 {
-		return fmt.Errorf("atmosphere: negative zenith optical depth %g", e.ZenithOpticalDepth)
+	if !(e.ZenithOpticalDepth >= 0) || math.IsInf(e.ZenithOpticalDepth, 1) {
+		return fmt.Errorf("atmosphere: zenith optical depth %g is not a finite non-negative number", e.ZenithOpticalDepth)
 	}
-	if e.ScaleHeightM < 0 {
-		return fmt.Errorf("atmosphere: negative scale height %g", e.ScaleHeightM)
+	if !(e.ScaleHeightM >= 0) || math.IsInf(e.ScaleHeightM, 1) {
+		return fmt.Errorf("atmosphere: scale height %g is not a finite non-negative number", e.ScaleHeightM)
 	}
 	return nil
 }
@@ -50,6 +52,22 @@ func (e Extinction) scaleHeight() float64 {
 	return e.ScaleHeightM
 }
 
+// maxAirmass caps the secant airmass at the horizontal limit for a curved
+// atmosphere, keeping grazing-elevation depths finite.
+const maxAirmass = 38.0
+
+// negligibleDepth is 2⁻⁵⁴: for every optical depth d with 0 ≤ d < 2⁻⁵⁴,
+// math.Exp(−d) is exactly 1 (see ElevationFree).
+const negligibleDepth = 0x1p-54
+
+// ColumnAbove returns exp(−max(0, altM)/H), the fraction of the total
+// vertical extinction column lying above altitude altM. A caller that
+// evaluates many paths from the same endpoints computes it once per
+// endpoint; ColumnFraction is the difference of two such terms.
+func (e Extinction) ColumnAbove(altM float64) float64 {
+	return math.Exp(-math.Max(0, altM) / e.scaleHeight())
+}
+
 // ColumnFraction returns the fraction of the total vertical extinction
 // column lying between altitudes loM and hiM (loM <= hiM). A path entirely
 // above the atmosphere (both endpoints high) traverses almost none of the
@@ -58,10 +76,7 @@ func (e Extinction) ColumnFraction(loM, hiM float64) float64 {
 	if hiM < loM {
 		loM, hiM = hiM, loM
 	}
-	h := e.scaleHeight()
-	lo := math.Exp(-math.Max(0, loM) / h)
-	hi := math.Exp(-math.Max(0, hiM) / h)
-	return lo - hi
+	return e.ColumnAbove(loM) - e.ColumnAbove(hiM)
 }
 
 // SlantOpticalDepth returns the optical depth along a straight path between
@@ -70,8 +85,11 @@ func (e Extinction) ColumnFraction(loM, hiM float64) float64 {
 // airmass of 38 (the horizontal limit for a curved atmosphere) to stay
 // finite at grazing elevations.
 func (e Extinction) SlantOpticalDepth(loM, hiM, elevationRad float64) float64 {
-	const maxAirmass = 38.0
-	frac := e.ColumnFraction(loM, hiM)
+	return e.slantDepth(e.ColumnFraction(loM, hiM), elevationRad)
+}
+
+// slantDepth is SlantOpticalDepth for a path crossing column fraction frac.
+func (e Extinction) slantDepth(frac, elevationRad float64) float64 {
 	if frac <= 0 {
 		return 0
 	}
@@ -86,7 +104,39 @@ func (e Extinction) SlantOpticalDepth(loM, hiM, elevationRad float64) float64 {
 // Transmission returns exp(-SlantOpticalDepth) for the given geometry — the
 // η_atm factor of the FSO channel.
 func (e Extinction) Transmission(loM, hiM, elevationRad float64) float64 {
-	return math.Exp(-e.SlantOpticalDepth(loM, hiM, elevationRad))
+	return e.TransmissionColumn(e.ColumnFraction(loM, hiM), elevationRad)
+}
+
+// TransmissionColumn is Transmission for a path crossing column fraction
+// frac, i.e. frac = ColumnFraction(loM, hiM): the one η_atm formula behind
+// both Transmission and the FSO channel. The elevation is not read when
+// ElevationFree(frac) holds.
+func (e Extinction) TransmissionColumn(frac, elevationRad float64) float64 {
+	if e.ElevationFree(frac) {
+		return 1
+	}
+	return math.Exp(-e.slantDepth(frac, elevationRad))
+}
+
+// ElevationFree reports whether a path crossing column fraction frac has a
+// transmission of exactly 1 at every elevation, so that the elevation need
+// not be computed at all. It holds when frac ≤ 0 (the depth is 0) and when
+// the largest possible depth, τ·frac·38, is in [0, 2⁻⁵⁴).
+//
+// Exactness: the depth is computed as (τ·frac)·airmass with airmass ≤ 38
+// (1/s ≤ 38 whenever s > 1/38), and rounding is monotone, so the depth is
+// at most the computed bound and lies in [0, 2⁻⁵⁴). Then exp(−d) lies in
+// (1 − 2⁻⁵⁴, 1], whose nearest double is 1, and math.Exp returns exactly
+// 1: its portable code returns 1 + x for |x| < 2⁻²⁸, and the amd64 and
+// arm64 assembly kernels reduce such an argument to the same single
+// rounding of 1 + x. NaN and negative bounds fail the test and take the
+// full formula.
+func (e Extinction) ElevationFree(frac float64) bool {
+	if frac <= 0 {
+		return true
+	}
+	bound := e.ZenithOpticalDepth * frac * maxAirmass
+	return bound >= 0 && bound < negligibleDepth
 }
 
 // HufnagelValley is the standard HV model of the refractive-index structure

@@ -76,6 +76,16 @@ func TestValidate(t *testing.T) {
 	if err := (Extinction{ScaleHeightM: -1}).Validate(); err == nil {
 		t.Error("negative scale height accepted")
 	}
+	for _, e := range []Extinction{
+		{ZenithOpticalDepth: math.NaN()},
+		{ZenithOpticalDepth: math.Inf(1)},
+		{ZenithOpticalDepth: 0.05, ScaleHeightM: math.NaN()},
+		{ZenithOpticalDepth: 0.05, ScaleHeightM: math.Inf(1)},
+	} {
+		if err := e.Validate(); err == nil {
+			t.Errorf("non-finite extinction %+v accepted", e)
+		}
+	}
 	if err := (Extinction{ZenithOpticalDepth: 0.05}).Validate(); err != nil {
 		t.Errorf("valid config rejected: %v", err)
 	}

@@ -73,6 +73,12 @@ func TestFiberValidate(t *testing.T) {
 	if err := (Fiber{AttenuationDBPerKm: math.NaN()}).Validate(); err == nil {
 		t.Error("NaN attenuation accepted")
 	}
+	if err := (Fiber{AttenuationDBPerKm: math.Inf(1)}).Validate(); err == nil {
+		t.Error("+Inf attenuation accepted")
+	}
+	if err := (Fiber{AttenuationDBPerKm: PaperFiberAttenuationDBPerKm}).Validate(); err != nil {
+		t.Errorf("paper attenuation rejected: %v", err)
+	}
 }
 
 func testFSO() FSOConfig {
@@ -105,6 +111,28 @@ func TestFSOValidate(t *testing.T) {
 	neg.PointingJitterRad = -1
 	if err := neg.Validate(); err == nil {
 		t.Error("negative jitter accepted")
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for name, mutate := range map[string]func(*FSOConfig){
+		"NaN wavelength":     func(c *FSOConfig) { c.WavelengthM = nan },
+		"+Inf wavelength":    func(c *FSOConfig) { c.WavelengthM = inf },
+		"NaN tx aperture":    func(c *FSOConfig) { c.TxApertureRadiusM = nan },
+		"+Inf tx aperture":   func(c *FSOConfig) { c.TxApertureRadiusM = inf },
+		"NaN rx aperture":    func(c *FSOConfig) { c.RxApertureRadiusM = nan },
+		"+Inf rx aperture":   func(c *FSOConfig) { c.RxApertureRadiusM = inf },
+		"NaN efficiency":     func(c *FSOConfig) { c.ReceiverEfficiency = nan },
+		"NaN jitter":         func(c *FSOConfig) { c.PointingJitterRad = nan },
+		"+Inf jitter":        func(c *FSOConfig) { c.PointingJitterRad = inf },
+		"NaN waist":          func(c *FSOConfig) { c.TxWaistM = nan },
+		"NaN optical depth":  func(c *FSOConfig) { c.Extinction.ZenithOpticalDepth = nan },
+		"+Inf optical depth": func(c *FSOConfig) { c.Extinction.ZenithOpticalDepth = inf },
+		"+Inf scale height":  func(c *FSOConfig) { c.Extinction.ScaleHeightM = inf },
+	} {
+		c := testFSO()
+		mutate(&c)
+		if err := c.Validate(); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 }
 

@@ -22,10 +22,11 @@ type Fiber struct {
 	AttenuationDBPerKm float64
 }
 
-// Validate reports whether the configuration is physical.
+// Validate reports whether the configuration is physical: a finite,
+// non-negative attenuation (NaN fails the comparison).
 func (f Fiber) Validate() error {
-	if f.AttenuationDBPerKm < 0 || math.IsNaN(f.AttenuationDBPerKm) {
-		return fmt.Errorf("channel: negative fiber attenuation %g dB/km", f.AttenuationDBPerKm)
+	if !(f.AttenuationDBPerKm >= 0) || math.IsInf(f.AttenuationDBPerKm, 1) {
+		return fmt.Errorf("channel: fiber attenuation %g dB/km is not a finite non-negative number", f.AttenuationDBPerKm)
 	}
 	return nil
 }

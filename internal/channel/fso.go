@@ -36,20 +36,22 @@ type FSOConfig struct {
 	PointingJitterRad float64
 }
 
-// Validate reports whether the configuration is physical.
+// Validate reports whether the configuration is physical. Every length and
+// efficiency must be a finite number in range; the comparisons are written
+// so that NaN fails them.
 func (c FSOConfig) Validate() error {
 	switch {
-	case c.WavelengthM <= 0:
-		return fmt.Errorf("channel: non-positive wavelength %g", c.WavelengthM)
-	case c.TxApertureRadiusM <= 0:
-		return fmt.Errorf("channel: non-positive transmit aperture %g", c.TxApertureRadiusM)
-	case c.RxApertureRadiusM <= 0:
-		return fmt.Errorf("channel: non-positive receive aperture %g", c.RxApertureRadiusM)
-	case c.ReceiverEfficiency <= 0 || c.ReceiverEfficiency > 1:
+	case !(c.WavelengthM > 0) || math.IsInf(c.WavelengthM, 1):
+		return fmt.Errorf("channel: wavelength %g is not a finite positive number", c.WavelengthM)
+	case !(c.TxApertureRadiusM > 0) || math.IsInf(c.TxApertureRadiusM, 1):
+		return fmt.Errorf("channel: transmit aperture %g is not a finite positive number", c.TxApertureRadiusM)
+	case !(c.RxApertureRadiusM > 0) || math.IsInf(c.RxApertureRadiusM, 1):
+		return fmt.Errorf("channel: receive aperture %g is not a finite positive number", c.RxApertureRadiusM)
+	case !(c.ReceiverEfficiency > 0 && c.ReceiverEfficiency <= 1):
 		return fmt.Errorf("channel: receiver efficiency %g outside (0,1]", c.ReceiverEfficiency)
-	case c.PointingJitterRad < 0:
-		return fmt.Errorf("channel: negative pointing jitter %g", c.PointingJitterRad)
-	case c.TxWaistM < 0 || c.TxWaistM > c.TxApertureRadiusM:
+	case !(c.PointingJitterRad >= 0) || math.IsInf(c.PointingJitterRad, 1):
+		return fmt.Errorf("channel: pointing jitter %g is not a finite non-negative number", c.PointingJitterRad)
+	case !(c.TxWaistM >= 0 && c.TxWaistM <= c.TxApertureRadiusM):
 		return fmt.Errorf("channel: beam waist %g outside (0, aperture radius %g]", c.TxWaistM, c.TxApertureRadiusM)
 	}
 	return c.Extinction.Validate()
@@ -101,7 +103,7 @@ func (c FSOConfig) MaxUsableRangeM2(threshold float64) float64 {
 	}
 	var wmax2 float64
 	if threshold < 1 {
-		wmax2 = 2 * a * a / (-math.Log(1-threshold))
+		wmax2 = 2 * a * a / (-math.Log(1 - threshold))
 	}
 	r := wmax2/(w0*w0) - 1
 	if r <= 0 {
@@ -157,6 +159,24 @@ func (c FSOConfig) Transmissivity(g FSOGeometry) float64 {
 // Breakdown evaluates the channel for the given geometry, returning each
 // factor separately.
 func (c FSOConfig) Breakdown(g FSOGeometry) FSOBreakdown {
+	return c.BreakdownColumn(g, c.Extinction.ColumnFraction(g.LoAltM, g.HiAltM))
+}
+
+// ElevationFree reports whether BreakdownColumn's result for a path
+// crossing column fraction frac is independent of the geometry's
+// ElevationRad: without turbulence the elevation enters only η_atm, which
+// is then exactly 1 (see atmosphere.Extinction.ElevationFree). Callers may
+// skip computing the elevation when it holds.
+func (c *FSOConfig) ElevationFree(frac float64) bool {
+	return c.Turbulence == nil && c.Extinction.ElevationFree(frac)
+}
+
+// BreakdownColumn is the channel formula behind Breakdown, with the
+// extinction column fraction frac = c.Extinction.ColumnFraction(g.LoAltM,
+// g.HiAltM) supplied by the caller, who can compute each endpoint's
+// Extinction.ColumnAbove once and take their difference. Given that frac,
+// the result is bit-identical to Breakdown(g).
+func (c *FSOConfig) BreakdownColumn(g FSOGeometry, frac float64) FSOBreakdown {
 	b := FSOBreakdown{Receiver: c.ReceiverEfficiency, FriedParameterM: math.Inf(1)}
 	if g.RangeM <= 0 {
 		b.Diffraction = 1
@@ -194,7 +214,7 @@ func (c FSOConfig) Breakdown(g FSOGeometry) FSOBreakdown {
 	b.BeamRadiusM = math.Sqrt(weff2)
 	a := c.RxApertureRadiusM
 	b.Diffraction = 1 - math.Exp(-2*a*a/weff2)
-	b.Atmospheric = c.Extinction.Transmission(g.LoAltM, g.HiAltM, g.ElevationRad)
+	b.Atmospheric = c.Extinction.TransmissionColumn(frac, g.ElevationRad)
 	return b
 }
 

@@ -197,3 +197,44 @@ func TestDegRadRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestFrameElevationMatchesLook: Frame.Elevation must return Look's
+// elevation and slant range bit for bit, for observers on the ground and in
+// orbit, targets above and below the horizon, the coincident target and
+// non-finite targets.
+func TestFrameElevationMatchesLook(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	bits := math.Float64bits
+	check := func(f Frame, target Vec3) {
+		t.Helper()
+		la := f.Look(target)
+		el, rngM := f.Elevation(target)
+		if bits(el) != bits(la.ElevationRad) || bits(rngM) != bits(la.SlantRangeM) {
+			t.Fatalf("Elevation(%+v) = (%v, %v), Look = (%v, %v)", target, el, rngM, la.ElevationRad, la.SlantRangeM)
+		}
+	}
+	for trial := 0; trial < 5000; trial++ {
+		obs := LLA{
+			LatDeg: rng.Float64()*180 - 90,
+			LonDeg: rng.Float64()*360 - 180,
+			AltM:   []float64{0, 300, 30e3, 550e3, 1200e3}[rng.Intn(5)],
+		}
+		f := NewFrame(obs)
+		target := LLA{
+			LatDeg: rng.Float64()*180 - 90,
+			LonDeg: rng.Float64()*360 - 180,
+			AltM:   rng.Float64() * 2000e3,
+		}.ECEF()
+		check(f, target)
+		check(f, f.ECEF)                                    // zero range
+		check(f, f.ECEF.Add(f.Up.Scale(rng.Float64()*1e6))) // zenith: clamp at +1
+	}
+	f := NewFrame(LLA{LatDeg: 35, LonDeg: -85})
+	for _, target := range []Vec3{
+		{X: math.NaN(), Y: 0, Z: 0},
+		{X: math.Inf(1), Y: 0, Z: 0},
+		{X: 1e300, Y: -1e300, Z: 1e300},
+	} {
+		check(f, target)
+	}
+}

@@ -47,21 +47,30 @@ func NewFrame(obs LLA) Frame {
 // Look computes the look angle from the frame's observer to a target at
 // ECEF position target.
 func (f Frame) Look(target Vec3) LookAngle {
-	d := target.Sub(f.ECEF)
-	e := d.Dot(f.East)
-	n := d.Dot(f.North)
-	u := d.Dot(f.Up)
-	rng := d.Norm()
-	la := LookAngle{SlantRangeM: rng}
+	el, rng := f.Elevation(target)
+	la := LookAngle{ElevationRad: el, SlantRangeM: rng}
 	if rng == 0 {
 		return la
 	}
-	la.ElevationRad = math.Asin(clamp(u/rng, -1, 1))
-	la.AzimuthRad = math.Atan2(e, n)
+	d := target.Sub(f.ECEF)
+	la.AzimuthRad = math.Atan2(d.Dot(f.East), d.Dot(f.North))
 	if la.AzimuthRad < 0 {
 		la.AzimuthRad += 2 * math.Pi
 	}
 	return la
+}
+
+// Elevation returns the elevation and slant range of Look(target) without
+// computing the azimuth, which callers that only gate on elevation never
+// read.
+func (f Frame) Elevation(target Vec3) (elevationRad, slantRangeM float64) {
+	d := target.Sub(f.ECEF)
+	u := d.Dot(f.Up)
+	rng := d.Norm()
+	if rng == 0 {
+		return 0, rng
+	}
+	return math.Asin(clamp(u/rng, -1, 1)), rng
 }
 
 // AboveHorizon reports whether the target sits at or above the observer's

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"qntn/internal/netsim"
+	"qntn/internal/orbit"
 	"qntn/internal/routing"
 	"qntn/internal/telemetry"
 )
@@ -144,6 +145,34 @@ func BenchmarkPathFidelityExact(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := PathFidelityExact(etas, SourceAtBestSplit); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSnapshotIntoWalker1k measures one steady-state snapshot of the
+// full-mesh Walker 1008/24/1@550:53 constellation over the paper's ground
+// networks (1039 nodes) at a fixed instant, into one reused graph: the
+// per-step kernel of the walker-coverage workload (relay caches, candidate
+// gather, link evaluation, graph assembly).
+func BenchmarkSnapshotIntoWalker1k(b *testing.B) {
+	shells, err := orbit.ParseWalkerShells("1008/24/1@550:53")
+	if err != nil {
+		b.Fatal(err)
+	}
+	sc, err := NewWalker(WalkerSpec{Shells: shells}, DefaultParams())
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := routing.NewGraph()
+	const at = 47 * time.Minute
+	if err := sc.GraphInto(g, at); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := sc.GraphInto(g, at); err != nil {
 			b.Fatal(err)
 		}
 	}

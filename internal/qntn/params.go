@@ -218,40 +218,51 @@ func DefaultParams() Params {
 	}
 }
 
-// Validate reports whether the parameters are self-consistent.
+// Validate reports whether the parameters are self-consistent. Every
+// floating-point field it checks must be finite (or, for the wavelength,
+// apertures, altitudes and loss coefficients, positive or non-negative and
+// finite); NaN is rejected everywhere.
 func (p Params) Validate() error {
 	switch {
-	case p.WavelengthM <= 0:
-		return fmt.Errorf("qntn: non-positive wavelength")
-	case p.GroundApertureRadiusM <= 0 || p.HAPApertureRadiusM <= 0:
-		return fmt.Errorf("qntn: non-positive aperture radius")
-	case p.SpaceBeamWaistM <= 0 || p.SpaceBeamWaistM > p.GroundApertureRadiusM:
+	case !positiveFinite(p.WavelengthM):
+		return fmt.Errorf("qntn: wavelength %g is not a finite positive number", p.WavelengthM)
+	case !positiveFinite(p.GroundApertureRadiusM) || !positiveFinite(p.HAPApertureRadiusM):
+		return fmt.Errorf("qntn: aperture radii %g, %g are not finite positive numbers", p.GroundApertureRadiusM, p.HAPApertureRadiusM)
+	case !(p.SpaceBeamWaistM > 0 && p.SpaceBeamWaistM <= p.GroundApertureRadiusM):
 		return fmt.Errorf("qntn: space beam waist %g outside (0, %g]", p.SpaceBeamWaistM, p.GroundApertureRadiusM)
-	case p.HAPBeamWaistM <= 0 || p.HAPBeamWaistM > p.HAPApertureRadiusM:
+	case !(p.HAPBeamWaistM > 0 && p.HAPBeamWaistM <= p.HAPApertureRadiusM):
 		return fmt.Errorf("qntn: HAP beam waist %g outside (0, %g]", p.HAPBeamWaistM, p.HAPApertureRadiusM)
-	case p.ReceiverEfficiency <= 0 || p.ReceiverEfficiency > 1:
+	case !(p.ReceiverEfficiency > 0 && p.ReceiverEfficiency <= 1):
 		return fmt.Errorf("qntn: receiver efficiency %g outside (0,1]", p.ReceiverEfficiency)
-	case p.ZenithOpticalDepth < 0:
-		return fmt.Errorf("qntn: negative zenith optical depth")
-	case p.FiberAttenuationDBPerKm < 0:
-		return fmt.Errorf("qntn: negative fiber attenuation")
-	case p.TransmissivityThreshold < 0 || p.TransmissivityThreshold > 1:
+	case !nonNegativeFinite(p.ZenithOpticalDepth):
+		return fmt.Errorf("qntn: zenith optical depth %g is not a finite non-negative number", p.ZenithOpticalDepth)
+	case !nonNegativeFinite(p.PointingJitterRad):
+		return fmt.Errorf("qntn: pointing jitter %g is not a finite non-negative number", p.PointingJitterRad)
+	case !nonNegativeFinite(p.FiberAttenuationDBPerKm):
+		return fmt.Errorf("qntn: fiber attenuation %g is not a finite non-negative number", p.FiberAttenuationDBPerKm)
+	case !(p.TransmissivityThreshold >= 0 && p.TransmissivityThreshold <= 1):
 		return fmt.Errorf("qntn: transmissivity threshold %g outside [0,1]", p.TransmissivityThreshold)
-	case p.MinElevationRad < 0 || p.MinElevationRad >= math.Pi/2:
+	case !(p.MinElevationRad >= 0 && p.MinElevationRad < math.Pi/2):
 		return fmt.Errorf("qntn: elevation mask %g outside [0, π/2)", p.MinElevationRad)
-	case p.SatelliteAltitudeM <= 0:
-		return fmt.Errorf("qntn: non-positive satellite altitude")
-	case p.HAPAltM <= 0:
-		return fmt.Errorf("qntn: non-positive HAP altitude")
+	case !finite(p.ISLClearanceAltM):
+		return fmt.Errorf("qntn: ISL clearance altitude %g is not finite", p.ISLClearanceAltM)
+	case !positiveFinite(p.SatelliteAltitudeM):
+		return fmt.Errorf("qntn: satellite altitude %g is not a finite positive number", p.SatelliteAltitudeM)
+	case !finite(p.InclinationDeg):
+		return fmt.Errorf("qntn: inclination %g is not finite", p.InclinationDeg)
+	case !finite(p.HAPLatDeg) || !finite(p.HAPLonDeg):
+		return fmt.Errorf("qntn: HAP position (%g, %g) is not finite", p.HAPLatDeg, p.HAPLonDeg)
+	case !positiveFinite(p.HAPAltM):
+		return fmt.Errorf("qntn: HAP altitude %g is not a finite positive number", p.HAPAltM)
 	case p.StepInterval <= 0:
 		return fmt.Errorf("qntn: non-positive step interval")
 	case p.ProcessingDelayPerHop < 0:
 		return fmt.Errorf("qntn: negative per-hop processing delay")
-	case p.TwilightRad < 0 || p.TwilightRad >= math.Pi/2:
+	case !(p.TwilightRad >= 0 && p.TwilightRad < math.Pi/2):
 		return fmt.Errorf("qntn: twilight angle %g outside [0, π/2)", p.TwilightRad)
-	case p.HAPOutageProbability < 0 || p.HAPOutageProbability > 1:
+	case !(p.HAPOutageProbability >= 0 && p.HAPOutageProbability <= 1):
 		return fmt.Errorf("qntn: HAP outage probability %g outside [0,1]", p.HAPOutageProbability)
-	case !(p.RoutingEpsilon >= 0) || math.IsInf(p.RoutingEpsilon, 1):
+	case !nonNegativeFinite(p.RoutingEpsilon):
 		return fmt.Errorf("qntn: routing epsilon %g is not a finite non-negative number", p.RoutingEpsilon)
 	}
 	if err := p.Fault.Validate(); err != nil {
@@ -262,6 +273,14 @@ func (p Params) Validate() error {
 	}
 	return nil
 }
+
+// finite, positiveFinite and nonNegativeFinite are Validate's range tests,
+// written so that NaN fails every one of them.
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+
+func positiveFinite(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
+
+func nonNegativeFinite(x float64) bool { return x >= 0 && !math.IsInf(x, 1) }
 
 // TopologyStep returns the topology-update cadence every run path derives
 // its sampling from: StepInterval when positive, else the paper's 30 s STK

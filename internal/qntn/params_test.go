@@ -74,6 +74,32 @@ func TestParamsValidateRejects(t *testing.T) {
 		func(p *Params) { p.RoutingEpsilon = math.Inf(1) },
 		func(p *Params) { p.RoutingEpsilon = math.Inf(-1) },
 		func(p *Params) { p.RoutingEpsilon = -1e-6 },
+		func(p *Params) { p.WavelengthM = math.NaN() },
+		func(p *Params) { p.WavelengthM = math.Inf(1) },
+		func(p *Params) { p.GroundApertureRadiusM = math.Inf(1) },
+		func(p *Params) { p.HAPApertureRadiusM = math.NaN() },
+		func(p *Params) { p.SpaceBeamWaistM = math.NaN() },
+		func(p *Params) { p.HAPBeamWaistM = math.NaN() },
+		func(p *Params) { p.ReceiverEfficiency = math.NaN() },
+		func(p *Params) { p.ZenithOpticalDepth = math.NaN() },
+		func(p *Params) { p.ZenithOpticalDepth = math.Inf(1) },
+		func(p *Params) { p.PointingJitterRad = -1e-6 },
+		func(p *Params) { p.PointingJitterRad = math.NaN() },
+		func(p *Params) { p.PointingJitterRad = math.Inf(1) },
+		func(p *Params) { p.FiberAttenuationDBPerKm = math.NaN() },
+		func(p *Params) { p.FiberAttenuationDBPerKm = math.Inf(1) },
+		func(p *Params) { p.TransmissivityThreshold = math.NaN() },
+		func(p *Params) { p.MinElevationRad = math.NaN() },
+		func(p *Params) { p.ISLClearanceAltM = math.NaN() },
+		func(p *Params) { p.ISLClearanceAltM = math.Inf(1) },
+		func(p *Params) { p.SatelliteAltitudeM = math.NaN() },
+		func(p *Params) { p.SatelliteAltitudeM = math.Inf(1) },
+		func(p *Params) { p.InclinationDeg = math.NaN() },
+		func(p *Params) { p.HAPLatDeg = math.Inf(-1) },
+		func(p *Params) { p.HAPLonDeg = math.NaN() },
+		func(p *Params) { p.HAPAltM = math.NaN() },
+		func(p *Params) { p.TwilightRad = math.NaN() },
+		func(p *Params) { p.HAPOutageProbability = math.NaN() },
 	}
 	for i, mutate := range mutations {
 		p := DefaultParams()
@@ -81,6 +107,33 @@ func TestParamsValidateRejects(t *testing.T) {
 		if err := p.Validate(); err == nil {
 			t.Errorf("mutation %d accepted", i)
 		}
+	}
+}
+
+// TestNonFiniteChannelInputsRejected: non-finite channel inputs used to
+// pass Validate and NewSpaceGround and surface only at run time, as a
+// "transmissivity NaN" snapshot error, as 0% coverage, or as a threshold
+// that admits every link. Each must now be refused at construction.
+func TestNonFiniteChannelInputsRejected(t *testing.T) {
+	cases := map[string]func(*Params){
+		"NaN zenith optical depth":     func(p *Params) { p.ZenithOpticalDepth = math.NaN() },
+		"+Inf zenith optical depth":    func(p *Params) { p.ZenithOpticalDepth = math.Inf(1) },
+		"NaN fiber attenuation":        func(p *Params) { p.FiberAttenuationDBPerKm = math.NaN() },
+		"NaN satellite altitude":       func(p *Params) { p.SatelliteAltitudeM = math.NaN() },
+		"+Inf wavelength":              func(p *Params) { p.WavelengthM = math.Inf(1) },
+		"NaN transmissivity threshold": func(p *Params) { p.TransmissivityThreshold = math.NaN() },
+	}
+	for name, mutate := range cases {
+		t.Run(name, func(t *testing.T) {
+			p := DefaultParams()
+			mutate(&p)
+			if err := p.Validate(); err == nil {
+				t.Fatal("Validate accepted the parameters")
+			}
+			if _, err := NewSpaceGround(108, p); err == nil {
+				t.Fatal("NewSpaceGround accepted the parameters")
+			}
+		})
 	}
 }
 

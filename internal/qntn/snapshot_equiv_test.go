@@ -5,7 +5,9 @@ import (
 	"testing"
 	"time"
 
+	"qntn/internal/atmosphere"
 	"qntn/internal/fault"
+	"qntn/internal/orbit"
 	"qntn/internal/routing"
 )
 
@@ -105,6 +107,54 @@ func TestSnapshotFastPathMatchesReference(t *testing.T) {
 	}
 }
 
+// walkerKernelCases are the Walker-1k scenarios of the per-step kernel:
+// the benchmark's full-mesh 1008/24/1@550:53 constellation over the paper's
+// ground networks, where every ISL skips the elevation, plus two variants
+// that still need it — two low shells whose ISLs cross enough atmosphere
+// that η_atm can fall below 1, and the benchmark constellation under HV5/7
+// turbulence.
+func walkerKernelCases() map[string]func(p Params) (*Scenario, error) {
+	walker := func(spec string) func(p Params) (*Scenario, error) {
+		return func(p Params) (*Scenario, error) {
+			shells, err := orbit.ParseWalkerShells(spec)
+			if err != nil {
+				return nil, err
+			}
+			return NewWalker(WalkerSpec{Shells: shells}, p)
+		}
+	}
+	full := walker("1008/24/1@550:53")
+	return map[string]func(p Params) (*Scenario, error){
+		"walker-1008-full-mesh":  full,
+		"walker-1008-low-shells": walker("504/24/1@200:53,504/24/5@260:70"),
+		"walker-1008-hv57": func(p Params) (*Scenario, error) {
+			hv := atmosphere.HV57()
+			p.Turbulence = &hv
+			return full(p)
+		},
+	}
+}
+
+// TestSnapshotFastPathMatchesReferenceWalker1k checks the Walker-1k kernel
+// against the scalar reference pair by pair at 12 instants per scenario.
+// The kernel is single-goroutine, so the race build skips the 540k-pair
+// reference scans; it still runs the same scenarios through
+// TestSnapshotIndexMatchesDense and TestCandidatePairsMatchCellNeighborhoods.
+func TestSnapshotFastPathMatchesReferenceWalker1k(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("1039-node reference scans are slow; run without -short or -race")
+	}
+	for name, build := range walkerKernelCases() {
+		t.Run(name, func(t *testing.T) {
+			sc, err := build(DefaultParams())
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertStepEquivalence(t, sc, 12, 17*time.Minute)
+		})
+	}
+}
+
 func TestSnapshotFastPathMatchesReferenceAirGround(t *testing.T) {
 	p := DefaultParams()
 	p.RequireDarkness = true
@@ -131,7 +181,8 @@ func TestSnapshotFastPathMatchesReferenceHybrid(t *testing.T) {
 // the dense fast path (DisableSpatialIndex) graph by graph — node order,
 // edge set, and bit-exact transmissivities — across the scenarios where the
 // index is active, with and without a fault schedule, including the Walker
-// ISL-grid constellation over the multi-continent ground set.
+// ISL-grid constellation over the multi-continent ground set and the
+// 1039-node Walker kernel scenarios (walkerKernelCases).
 func TestSnapshotIndexMatchesDense(t *testing.T) {
 	builders := map[string]func(p Params) (*Scenario, error){
 		"space-ground-54-darkness": func(p Params) (*Scenario, error) {
@@ -140,6 +191,12 @@ func TestSnapshotIndexMatchesDense(t *testing.T) {
 		},
 		"space-ground-108": func(p Params) (*Scenario, error) { return NewSpaceGround(108, p) },
 		"walker-96-global": func(p Params) (*Scenario, error) { return NewWalker(walkerTestSpec(), p) },
+	}
+	// The 1039-node Walker scenarios run 12 instants instead of 30.
+	walker1k := map[string]bool{}
+	for name, build := range walkerKernelCases() {
+		builders[name] = build
+		walker1k[name] = true
 	}
 	for name, build := range builders {
 		for _, faults := range []bool{false, true} {
@@ -168,7 +225,11 @@ func TestSnapshotIndexMatchesDense(t *testing.T) {
 				}
 				gi, gd := routing.NewGraph(), routing.NewGraph()
 				edges := 0
-				for s := 0; s < 30; s++ {
+				steps := 30
+				if walker1k[name] {
+					steps = 12
+				}
+				for s := 0; s < steps; s++ {
 					at := time.Duration(s) * 9 * time.Minute
 					if err := indexed.GraphInto(gi, at); err != nil {
 						t.Fatal(err)

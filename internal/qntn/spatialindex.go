@@ -11,11 +11,12 @@ import "qntn/internal/geo"
 // layout: a neighborhood scan is nine contiguous bucket ranges, not
 // twenty-seven cell lookups.
 //
-// Determinism: nodes are placed into buckets in ascending index order, and
-// the per-node gather sorts its candidates ascending before emission, so
-// the packed candidate list is ascending — exactly the order the dense
-// "for i { for j := i+1 }" loop visits pairs. The equivalence suite asserts
-// the resulting graphs byte-identical to the dense scan.
+// Determinism: the per-node gather is an n-bit set (markNeighbors), read
+// out word by word from node i's word upward, so each node's partners
+// j > i come out ascending without a sort, and the packed candidate list
+// is ascending — exactly the order the dense "for i { for j := i+1 }" loop
+// visits pairs. The equivalence suite asserts the resulting graphs
+// byte-identical to the dense scan.
 
 // spatialIndexMinNodes is the node count below which the index is skipped:
 // the dense n² scan on small scenarios is cheaper than building the grid.
@@ -139,38 +140,29 @@ func (g *pairGrid) finishBuild(n int) {
 	}
 }
 
+// neighborhood returns the inclusive cell-coordinate bounds of the 3×3×3
+// neighborhood around cell c, clipped to the grid.
+//
+//qntn:hotpath
+func (g *pairGrid) neighborhood(c int32) (x0, x1, y0, y1, z0, z1 int32) {
+	dim := g.dim
+	cx := c % dim
+	cy := (c / dim) % dim
+	cz := c / (dim * dim)
+	return max(cx-1, 0), min(cx+1, dim-1),
+		max(cy-1, 0), min(cy+1, dim-1),
+		max(cz-1, 0), min(cz+1, dim-1)
+}
+
 // neighborsAfter appends to dst every node j > i in the 3×3×3 cell
 // neighborhood of node i's cell and returns the extended slice. Appended
-// order is bucket order, not ascending — callers sort before emission.
+// order is bucket order, not ascending. The window precomputation's mover
+// sweep uses it; per-step candidate generation uses markNeighbors.
 //
 //qntn:hotpath
 func (g *pairGrid) neighborsAfter(i int32, dst []int32) []int32 {
 	dim := g.dim
-	c := g.cell[i]
-	cx := c % dim
-	cy := (c / dim) % dim
-	cz := c / (dim * dim)
-	x0, x1 := cx-1, cx+1
-	if x0 < 0 {
-		x0 = 0
-	}
-	if x1 > dim-1 {
-		x1 = dim - 1
-	}
-	y0, y1 := cy-1, cy+1
-	if y0 < 0 {
-		y0 = 0
-	}
-	if y1 > dim-1 {
-		y1 = dim - 1
-	}
-	z0, z1 := cz-1, cz+1
-	if z0 < 0 {
-		z0 = 0
-	}
-	if z1 > dim-1 {
-		z1 = dim - 1
-	}
+	x0, x1, y0, y1, z0, z1 := g.neighborhood(g.cell[i])
 	for z := z0; z <= z1; z++ {
 		for y := y0; y <= y1; y++ {
 			row := (z*dim + y) * dim
@@ -187,19 +179,24 @@ func (g *pairGrid) neighborsAfter(i int32, dst []int32) []int32 {
 	return dst
 }
 
-// insertionSortI32 sorts s ascending in place without allocating. Candidate
-// gathers are small (tens of entries), where insertion sort beats the
-// allocation and indirection of sort.Slice.
+// markNeighbors sets in the bit set mark the bit of every node in the
+// 3×3×3 cell neighborhood of node i's cell, i itself included, and returns
+// the highest word index it touched. It sets bits unconditionally; the
+// caller reads only the words from i's upward.
 //
 //qntn:hotpath
-func insertionSortI32(s []int32) {
-	for i := 1; i < len(s); i++ {
-		v := s[i]
-		j := i - 1
-		for j >= 0 && s[j] > v {
-			s[j+1] = s[j]
-			j--
+func (g *pairGrid) markNeighbors(i int32, mark []uint64) (hi int) {
+	dim := g.dim
+	x0, x1, y0, y1, z0, z1 := g.neighborhood(g.cell[i])
+	for z := z0; z <= z1; z++ {
+		for y := y0; y <= y1; y++ {
+			row := (z*dim + y) * dim
+			for _, j := range g.bucket[g.starts[row+x0]:g.starts[row+x1+1]] {
+				w := int(j >> 6)
+				mark[w] |= 1 << (j & 63)
+				hi = max(hi, w)
+			}
 		}
-		s[j+1] = v
 	}
+	return hi
 }

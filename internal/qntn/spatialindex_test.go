@@ -250,31 +250,41 @@ func TestCandidatePairsDisabled(t *testing.T) {
 }
 
 // TestSnapshotZeroAllocsSpatialIndex: the index-backed snapshot must stay
-// allocation-free in steady state, with the index demonstrably active.
+// allocation-free in steady state, with the index demonstrably active, at
+// the paper's 108 satellites and on the 1039-node Walker constellation.
 func TestSnapshotZeroAllocsSpatialIndex(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector bookkeeping allocates; AllocsPerRun is meaningless")
 	}
-	sc, err := NewSpaceGround(108, DefaultParams())
-	if err != nil {
-		t.Fatal(err)
+	walker := walkerKernelCases()["walker-1008-full-mesh"]
+	builders := map[string]func(p Params) (*Scenario, error){
+		"space-ground-108":      func(p Params) (*Scenario, error) { return NewSpaceGround(108, p) },
+		"walker-1008-full-mesh": walker,
 	}
-	g := routing.NewGraph()
-	var st netsim.SnapshotStats
-	for i := 0; i < 3; i++ {
-		if err := sc.Net.SnapshotIntoStats(g, time.Duration(i)*time.Minute, &st); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st.IndexCulled <= 0 {
-		t.Fatalf("spatial index culled nothing at 108 satellites: %+v", st)
-	}
-	if n := testing.AllocsPerRun(20, func() {
-		if err := sc.Net.SnapshotIntoStats(g, 5*time.Minute, &st); err != nil {
-			t.Fatal(err)
-		}
-	}); n != 0 {
-		t.Fatalf("index-backed snapshot allocates %v times per step", n)
+	for name, build := range builders {
+		t.Run(name, func(t *testing.T) {
+			sc, err := build(DefaultParams())
+			if err != nil {
+				t.Fatal(err)
+			}
+			g := routing.NewGraph()
+			var st netsim.SnapshotStats
+			for i := 0; i < 3; i++ {
+				if err := sc.Net.SnapshotIntoStats(g, time.Duration(i)*time.Minute, &st); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if st.IndexCulled <= 0 {
+				t.Fatalf("spatial index culled nothing: %+v", st)
+			}
+			if n := testing.AllocsPerRun(20, func() {
+				if err := sc.Net.SnapshotIntoStats(g, 5*time.Minute, &st); err != nil {
+					t.Fatal(err)
+				}
+			}); n != 0 {
+				t.Fatalf("index-backed snapshot allocates %v times per step", n)
+			}
+		})
 	}
 }
 

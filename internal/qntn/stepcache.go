@@ -2,8 +2,10 @@ package qntn
 
 import (
 	"math"
+	"math/bits"
 	"time"
 
+	"qntn/internal/atmosphere"
 	"qntn/internal/channel"
 	"qntn/internal/geo"
 	"qntn/internal/netsim"
@@ -48,12 +50,22 @@ func (sc *Scenario) beginStep(nodes []netsim.Node, t time.Duration) *stepEval {
 
 // stepEval is the per-instant link-evaluation fast path: it hoists every
 // per-node quantity out of the O(N²) pair loop — each relay's position,
-// geodetic conversion and observation frame, each ground host's darkness
-// and each HAP's availability are computed exactly once per timestep — and
-// then answers pair queries from the cache. Cheap conservative prefilters
-// (horizon test, squared-range gate) reject most pairs before the full FSO
-// evaluation; pairs that survive run the exact reference computation, so
-// results are bit-identical to Scenario.evaluateLink.
+// geodetic conversion and extinction column term, each ground host's
+// darkness and each HAP's availability are computed exactly once per
+// timestep — and then answers pair queries from the cache. Cheap
+// conservative prefilters (horizon test, squared-range gate) reject most
+// pairs before the full FSO evaluation; pairs that survive run the exact
+// reference computation, so results are bit-identical to
+// Scenario.evaluateLink.
+//
+// The FSO evaluation takes the pair's extinction column fraction as
+// col[lo] − col[hi], where col[i] = Extinction.ColumnAbove(altM[i]) is the
+// term ColumnFraction would recompute per pair, so every pair costs two
+// fewer math.Exp calls. An ISL whose path lies so high that
+// channel.FSOConfig.ElevationFree holds (η_atm is then exactly 1 at any
+// elevation, and without turbulence nothing else reads the elevation)
+// skips the elevation entirely. Relay observation frames are therefore
+// built lazily, on a relay's first elevation query in a step.
 type stepEval struct {
 	sc    *Scenario
 	nodes []netsim.Node
@@ -63,17 +75,28 @@ type stepEval struct {
 	network []string
 	ground  []*netsim.GroundHost
 	gFrame  []geo.Frame // ground hosts: observation frame
-	gAltM   []float64   // ground hosts: geodetic altitude
 	gPos    []geo.Vec3  // ground-kind nodes: PositionAt(0)
+
+	// Per-node altitude and extinction column term: static for ground
+	// hosts (set in init), per step for relays.
+	altM []float64 // geodetic altitude (ground hosts: LLA().AltM)
+	col  []float64 // Extinction.ColumnAbove(altM)
 
 	// Per-step data (valid for one instant t).
 	t     time.Duration
-	pos   []geo.Vec3  // relays: PositionAt(t)
-	normM []float64   // relays: pos.Norm()
-	lla   []geo.LLA   // relays: geo.ToLLA(pos)
-	frame []geo.Frame // relays: observation frame at lla
-	dark  []bool      // ground hosts: IsDark (when RequireDarkness)
-	avail []bool      // HAPs: hapAvailable(t)
+	pos   []geo.Vec3 // relays: PositionAt(t)
+	normM []float64  // relays: pos.Norm()
+	lla   []geo.LLA  // relays: geo.ToLLA(pos)
+	dark  []bool     // ground hosts: IsDark (when RequireDarkness)
+	avail []bool     // HAPs: hapAvailable(t)
+
+	// Relay observation frames, built on first use in a step (relayFrame):
+	// frame[i] is current iff frameStamp[i] == stamp. reset and setInstant
+	// advance stamp, and refreshRelayAt clears one node's entry, so a
+	// frame never outlives the position it was built from.
+	frame      []geo.Frame
+	frameStamp []uint64
+	stamp      uint64
 
 	// Spatial index (geometry and static assignments valid while the node
 	// set is unchanged; see spatialindex.go). staticCell holds the cell of
@@ -90,9 +113,12 @@ type stepEval struct {
 
 	// Per-step candidate list, built lazily on the first CandidatePairs
 	// call so callers that evaluate targeted pairs (the sweep engine, the
-	// event-driven engine) never pay for it.
+	// event-driven engine) never pay for it. candMark is the n-bit gather
+	// set of buildCandidates, all zero between builds; relayBits has bit j
+	// set iff node j is not a ground node.
 	cand        []netsim.PackedPair
-	scratch     []int32
+	candMark    []uint64
+	relayBits   []uint64
 	candBuilt   bool
 	indexCulled int64
 
@@ -130,12 +156,16 @@ func (se *stepEval) CandidatePairs() ([]netsim.PackedPair, bool) {
 }
 
 // buildCandidates bins this step's node positions into the grid (static
-// nodes reuse their precomputed cells) and gathers, per node i, the sorted
+// nodes reuse their precomputed cells) and gathers, per node i, the
 // candidate partners j > i: static fiber partners plus grid neighbors
 // within one cell. Ground↔ground grid hits are dropped — same-network pairs
-// came from the fiber list and cross-network pairs can never link — so the
-// gather is duplicate-free. Emitting per-i sorted runs yields a globally
-// ascending packed list, i.e. exact dense-loop order.
+// come from the fiber list and cross-network pairs can never link — so the
+// gather is duplicate-free. The gather is an n-bit set: the neighborhood's
+// nodes are ORed in, ground bits masked off for a ground i, the fiber
+// partners ORed in, and the words from i's upward read out in ascending
+// bit order (bits ≤ i dropped) and cleared. Each i's partners therefore
+// come out ascending without a sort, and the packed list is globally
+// ascending, i.e. exact dense-loop order.
 //
 //qntn:hotpath
 func (se *stepEval) buildCandidates() {
@@ -152,34 +182,39 @@ func (se *stepEval) buildCandidates() {
 	}
 	g.finishBuild(n)
 	se.cand = se.cand[:0]
+	mark := se.candMark
 	for i := 0; i < n; i++ {
-		s := se.scratch[:0]
-		for _, j := range se.fiberList[se.fiberStart[i]:se.fiberStart[i+1]] {
-			//qntn:coldpath amortized growth: scratch capacity is stable
-			s = append(s, j)
-		}
-		nf := len(s)
-		s = g.neighborsAfter(int32(i), s)
+		// i is in its own neighborhood, so iw <= hi. Bits the gather sets
+		// below word iw are never read: every later i reads only from its
+		// own word upward. The set is cleared once, after the loop.
+		hi := g.markNeighbors(int32(i), mark)
+		iw := i >> 6
 		if se.kind[i] == netsim.Ground {
-			// Drop ground↔ground grid hits: they landed after the fiber
-			// prefix, which already holds the only linkable ones.
-			w := nf
-			for _, j := range s[nf:] {
-				if se.kind[j] == netsim.Ground {
-					continue
-				}
-				s[w] = j
-				w++
+			relay := se.relayBits[iw : hi+1]
+			for w := range relay {
+				mark[iw+w] &= relay[w]
 			}
-			s = s[:w]
+			for _, j := range se.fiberList[se.fiberStart[i]:se.fiberStart[i+1]] {
+				w := int(j >> 6)
+				mark[w] |= 1 << (j & 63)
+				hi = max(hi, w)
+			}
 		}
-		insertionSortI32(s)
-		for _, j := range s {
-			//qntn:coldpath amortized growth: candidate capacity is stable
-			se.cand = append(se.cand, netsim.PackPair(i, int(j)))
+		// Keep only bits above i in its own word.
+		mark[iw] &^= 2<<(i&63) - 1
+		base := uint64(i) << 32
+		for w := iw; w <= hi; w++ {
+			x := mark[w]
+			mark[w] = 0
+			for x != 0 {
+				j := uint64(w<<6 | bits.TrailingZeros64(x))
+				//qntn:coldpath amortized growth: candidate capacity is stable
+				se.cand = append(se.cand, netsim.PackedPair(base|j))
+				x &= x - 1
+			}
 		}
-		se.scratch = s
 	}
+	clear(mark)
 	se.indexCulled = int64(n)*int64(n-1)/2 - int64(len(se.cand))
 }
 
@@ -216,28 +251,46 @@ func (se *stepEval) init(nodes []netsim.Node) {
 	se.network = grow(se.network, n)
 	se.ground = grow(se.ground, n)
 	se.gFrame = grow(se.gFrame, n)
-	se.gAltM = grow(se.gAltM, n)
 	se.gPos = grow(se.gPos, n)
+	se.altM = grow(se.altM, n)
+	se.col = grow(se.col, n)
 	se.pos = grow(se.pos, n)
 	se.normM = grow(se.normM, n)
 	se.lla = grow(se.lla, n)
-	se.frame = grow(se.frame, n)
 	se.dark = grow(se.dark, n)
 	se.avail = grow(se.avail, n)
+	se.frame = grow(se.frame, n)
+	se.frameStamp = grow(se.frameStamp, n)
+	// stamp only grows and is positive from here on, so a zeroed entry
+	// never matches it.
+	clear(se.frameStamp)
+	se.stamp++
+	ext := se.extinction()
 	for i, node := range nodes {
 		se.kind[i] = node.Kind()
 		se.network[i] = node.Network()
 		gh, _ := node.(*netsim.GroundHost)
 		se.ground[i] = gh
+		se.altM[i], se.col[i] = 0, 0
 		if gh != nil {
 			se.gFrame[i] = geo.NewFrame(gh.LLA())
-			se.gAltM[i] = gh.LLA().AltM
+			se.altM[i] = gh.LLA().AltM
+			se.col[i] = ext.ColumnAbove(se.altM[i])
 		}
 		if se.kind[i] == netsim.Ground {
 			se.gPos[i] = node.PositionAt(0)
 		}
 	}
 	se.initSpatial(nodes)
+}
+
+// extinction returns the atmosphere model of the scenario's FSO channels.
+// The space, HAP and satellite–HAP configurations are all built from
+// Params.extinction, so one per-node column term serves every pair kind.
+//
+//qntn:hotpath
+func (se *stepEval) extinction() atmosphere.Extinction {
+	return se.sc.spaceFSO.Extinction
 }
 
 // initSpatial rebuilds the static spatial-index state for a new node set:
@@ -312,13 +365,23 @@ func (se *stepEval) initSpatial(nodes []netsim.Node) {
 		}
 	}
 	se.fiberStart[n] = int32(len(se.fiberList))
+	words := (n + 63) / 64
+	se.candMark = grow(se.candMark, words)
+	clear(se.candMark)
+	se.relayBits = grow(se.relayBits, words)
+	clear(se.relayBits)
+	for i := 0; i < n; i++ {
+		if se.kind[i] != netsim.Ground {
+			se.relayBits[i>>6] |= 1 << (i & 63)
+		}
+	}
 
 	// Prime the per-step arrays with one candidate build at t=0, so the
-	// first real snapshot runs at steady state: grid buckets, gather
-	// scratch, and the candidate list all reach working capacity here, on
-	// the cold path, instead of allocating inside the first hot step. A
-	// little headroom on the variable-length arrays absorbs instants with
-	// slightly larger candidate sets than t=0.
+	// first real snapshot runs at steady state: grid buckets and the
+	// candidate list reach working capacity here, on the cold path,
+	// instead of allocating inside the first hot step. A little headroom
+	// on the candidate list absorbs instants with slightly larger
+	// candidate sets than t=0.
 	for i, node := range nodes {
 		if se.staticCell[i] < 0 {
 			se.pos[i] = node.PositionAt(0)
@@ -345,17 +408,15 @@ func growZero(s [][]int32, n int) [][]int32 {
 }
 
 // reset recomputes the per-step caches for instant t: one position, norm,
-// geodetic conversion and frame per relay; one darkness bit per ground
-// host; one availability bit per HAP.
+// geodetic conversion and column term per relay; one darkness bit per
+// ground host; one availability bit per HAP. Relay frames are invalidated
+// and rebuilt on first use.
 //
 //qntn:hotpath
 func (se *stepEval) reset(t time.Duration) {
-	se.t = t
-	se.horizonRejects = 0
-	se.rangeRejects = 0
-	se.indexCulled = 0
-	se.candBuilt = false
+	se.setInstant(t)
 	sc := se.sc
+	ext := se.extinction()
 	requireDark := sc.Params.RequireDarkness
 	var twilightRad float64
 	if requireDark {
@@ -373,7 +434,8 @@ func (se *stepEval) reset(t time.Duration) {
 		se.normM[i] = p.Norm()
 		l := geo.ToLLA(p)
 		se.lla[i] = l
-		se.frame[i] = geo.NewFrame(l)
+		se.altM[i] = l.AltM
+		se.col[i] = ext.ColumnAbove(l.AltM)
 		if se.kind[i] == netsim.HAP {
 			se.avail[i] = sc.hapAvailable(node, t)
 		}
@@ -381,11 +443,15 @@ func (se *stepEval) reset(t time.Duration) {
 }
 
 // setInstant rebinds the evaluator to instant t without touching any cached
-// per-node data. The event-driven engine uses it together with refreshNode /
+// per-node data except the lazily built relay frames, which it invalidates.
+// The event-driven engine uses it together with refreshNode /
 // refreshRelayAt to refresh only the nodes that participate in open
 // visibility windows, instead of reset's full per-node sweep.
+//
+//qntn:hotpath
 func (se *stepEval) setInstant(t time.Duration) {
 	se.t = t
+	se.stamp++
 	se.horizonRejects = 0
 	se.rangeRejects = 0
 	se.indexCulled = 0
@@ -414,10 +480,36 @@ func (se *stepEval) refreshRelayAt(i int, p geo.Vec3) {
 	se.normM[i] = p.Norm()
 	l := geo.ToLLA(p)
 	se.lla[i] = l
-	se.frame[i] = geo.NewFrame(l)
+	se.altM[i] = l.AltM
+	se.col[i] = se.extinction().ColumnAbove(l.AltM)
+	se.frameStamp[i] = 0
 	if se.kind[i] == netsim.HAP {
 		se.avail[i] = se.sc.hapAvailable(se.nodes[i], se.t)
 	}
+}
+
+// relayFrame returns relay i's observation frame at its current position,
+// building it on the first call in a step.
+//
+//qntn:hotpath
+func (se *stepEval) relayFrame(i int) *geo.Frame {
+	if se.frameStamp[i] != se.stamp {
+		se.frame[i] = geo.NewFrame(se.lla[i])
+		se.frameStamp[i] = se.stamp
+	}
+	return &se.frame[i]
+}
+
+// columnFraction returns Extinction.ColumnFraction(altM[a], altM[b]) from
+// the cached column terms: the same swap test on the same altitudes, then
+// the same subtraction of the same two exponentials.
+//
+//qntn:hotpath
+func (se *stepEval) columnFraction(a, b int) float64 {
+	if se.altM[b] < se.altM[a] {
+		a, b = b, a
+	}
+	return se.col[a] - se.col[b]
 }
 
 // Close implements netsim.StepEvaluator, returning the evaluator to its
@@ -490,20 +582,20 @@ func (se *stepEval) groundRelayPair(a, b int, cfg *channel.FSOConfig, maxRangeM2
 		se.horizonRejects++
 		return 0, false
 	}
-	look := f.Look(se.pos[b])
-	if look.ElevationRad < sc.Params.MinElevationRad {
+	elev, rng := f.Elevation(se.pos[b])
+	if elev < sc.Params.MinElevationRad {
 		return 0, false
 	}
-	if look.SlantRangeM*look.SlantRangeM > maxRangeM2 {
+	if rng*rng > maxRangeM2 {
 		se.rangeRejects++
 		return 0, false
 	}
-	eta := cfg.Transmissivity(channel.FSOGeometry{
-		RangeM:       look.SlantRangeM,
-		ElevationRad: look.ElevationRad,
-		LoAltM:       se.gAltM[a],
-		HiAltM:       se.lla[b].AltM,
-	})
+	eta := cfg.BreakdownColumn(channel.FSOGeometry{
+		RangeM:       rng,
+		ElevationRad: elev,
+		LoAltM:       se.altM[a],
+		HiAltM:       se.altM[b],
+	}, se.columnFraction(a, b)).Total()
 	if eta < sc.Params.TransmissivityThreshold {
 		return 0, false
 	}
@@ -531,16 +623,22 @@ func (se *stepEval) islPair(a, b int) (float64, bool) {
 	if !geo.LineOfSight(pa, pb, sc.islClearance) {
 		return 0, false
 	}
-	lo, hi := a, b
-	if se.normM[lo] > se.normM[hi] {
-		lo, hi = hi, lo
+	cfg := &sc.spaceFSO
+	frac := se.columnFraction(a, b)
+	var elev float64
+	if !cfg.ElevationFree(frac) {
+		lo, hi := a, b
+		if se.normM[lo] > se.normM[hi] {
+			lo, hi = hi, lo
+		}
+		elev, _ = se.relayFrame(lo).Elevation(se.pos[hi])
 	}
-	eta := sc.spaceFSO.Transmissivity(channel.FSOGeometry{
+	eta := cfg.BreakdownColumn(channel.FSOGeometry{
 		RangeM:       pa.Distance(pb),
-		ElevationRad: se.frame[lo].Look(se.pos[hi]).ElevationRad,
-		LoAltM:       se.lla[a].AltM,
-		HiAltM:       se.lla[b].AltM,
-	})
+		ElevationRad: elev,
+		LoAltM:       se.altM[a],
+		HiAltM:       se.altM[b],
+	}, frac).Total()
 	if eta < sc.Params.TransmissivityThreshold {
 		return 0, false
 	}
@@ -577,19 +675,19 @@ func (se *stepEval) satHAPPair(a, b int) (float64, bool) {
 	if se.normM[lo] > se.normM[hi] {
 		lo, hi = hi, lo
 	}
-	elev := se.frame[lo].Look(se.pos[hi]).ElevationRad
+	elev, _ := se.relayFrame(lo).Elevation(se.pos[hi])
 	if elev < sc.Params.MinElevationRad {
 		return 0, false
 	}
 	if !geo.LineOfSight(ps, ph, sc.islClearance) {
 		return 0, false
 	}
-	eta := sc.satHAPFSO.Transmissivity(channel.FSOGeometry{
+	eta := sc.satHAPFSO.BreakdownColumn(channel.FSOGeometry{
 		RangeM:       ps.Distance(ph),
 		ElevationRad: elev,
-		LoAltM:       se.lla[b].AltM,
-		HiAltM:       se.lla[a].AltM,
-	})
+		LoAltM:       se.altM[b],
+		HiAltM:       se.altM[a],
+	}, se.columnFraction(b, a)).Total()
 	if eta < sc.Params.TransmissivityThreshold {
 		return 0, false
 	}
