@@ -100,9 +100,9 @@ func (c Config) Validate() error {
 		}
 	}
 	switch {
-	case c.WeatherP < 0 || c.WeatherP >= 1:
+	case !(c.WeatherP >= 0 && c.WeatherP < 1):
 		return fmt.Errorf("fault: weather fraction %g outside [0,1)", c.WeatherP)
-	case c.WeatherAttenuation < 0 || c.WeatherAttenuation > 1:
+	case !(c.WeatherAttenuation >= 0 && c.WeatherAttenuation <= 1):
 		return fmt.Errorf("fault: weather attenuation %g outside [0,1]", c.WeatherAttenuation)
 	case c.WeatherMeanDuration < 0:
 		return fmt.Errorf("fault: negative weather mean duration %v", c.WeatherMeanDuration)

@@ -71,6 +71,21 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+// TestConfigValidateRejectsNaN: every comparison that bounds a float
+// field is false for NaN, so the checks are written as negated in-range
+// tests; a NaN weather fraction or attenuation must be rejected.
+func TestConfigValidateRejectsNaN(t *testing.T) {
+	nan := math.NaN()
+	for _, cfg := range []Config{
+		{WeatherP: nan},
+		{WeatherP: 0.1, WeatherAttenuation: nan},
+	} {
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("Validate accepted %+v", cfg)
+		}
+	}
+}
+
 func TestAtIntensity(t *testing.T) {
 	if cfg := AtIntensity(0, 5); cfg.Enabled() || cfg.Seed != 5 {
 		t.Fatalf("AtIntensity(0) should disable faults and keep the seed, got %+v", cfg)

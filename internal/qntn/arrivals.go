@@ -77,12 +77,20 @@ type queuedRequest struct {
 // update instant, a single-source Dijkstra memo valid until the next
 // refresh, and the FIFO wait queue with its drain loop. Batching admission
 // per topology update keeps the per-step cost amortized: the graph
-// storage, the memo map and the queue backing array are all reused across
-// the run.
+// storage, the memo's slot table and scratch pool, the path buffer and the
+// queue backing array are all reused across the run, so a warm admission
+// step does not allocate.
 type admission struct {
 	sc    *Scenario
 	graph *routing.Graph // the current topology, owned by the source
-	memo  map[string]*routing.SingleSourceResult
+	cost  routing.CostFunc
+	// The per-step memo: slot[v] indexes the pool scratch holding this
+	// step's single-source result from dense node v, or is -1; the first
+	// used entries of pool are this step's.
+	slot  []int32
+	pool  []routing.DijkstraScratch
+	used  int
+	path  []string // the current request's primary path
 	queue []queuedRequest
 	// ev evaluates each routed attempt; a request whose protocol attempt
 	// fails stays queued and redraws at the next drain instant (PairKey
@@ -103,9 +111,44 @@ type admission struct {
 func newAdmission(sc *Scenario) *admission {
 	return &admission{
 		sc:   sc,
-		memo: make(map[string]*routing.SingleSourceResult),
+		cost: routing.InverseEtaCost(sc.Params.RoutingEpsilon),
 		ev:   sc.newEvaluator(),
 	}
+}
+
+// refresh installs the step's topology and empties the memo, keeping the
+// slot table's and the pool's storage.
+func (ad *admission) refresh(g *routing.Graph) {
+	ad.graph = g
+	n := g.NumNodes()
+	if cap(ad.slot) < n {
+		ad.slot = make([]int32, n)
+	}
+	ad.slot = ad.slot[:n]
+	for i := range ad.slot {
+		ad.slot[i] = -1
+	}
+	ad.used = 0
+}
+
+// route returns the memoized single-source result from dense node src on
+// the current topology, running Dijkstra into the next pool scratch on a
+// miss.
+//
+//qntn:hotpath once per admission attempt
+func (ad *admission) route(src int) *routing.DijkstraScratch {
+	if k := ad.slot[src]; k >= 0 {
+		return &ad.pool[k]
+	}
+	if ad.used == len(ad.pool) {
+		//qntn:coldpath amortized growth: the pool is reused across steps
+		ad.pool = append(ad.pool, routing.DijkstraScratch{})
+	}
+	ds := &ad.pool[ad.used]
+	ds.Run(ad.graph, src, ad.cost)
+	ad.slot[src] = int32(ad.used)
+	ad.used++
+	return ds
 }
 
 // arrival is one request of an admission run's time-sorted arrival stream.
@@ -144,8 +187,7 @@ func (ad *admission) run(grid sampleGrid, arrivals []arrival, onStep func(k int,
 				return err
 			}
 			at := grid.at(k)
-			ad.graph = g
-			clear(ad.memo)
+			ad.refresh(g)
 			if _, err := ad.drain(at); err != nil {
 				return err
 			}
@@ -165,26 +207,27 @@ func (ad *admission) run(grid sampleGrid, arrivals []arrival, onStep func(k int,
 
 // tryServe attempts to deliver q against the current topology. onArrival
 // marks the serve site — true from the arrival handler, false from the
-// drain loop — which is what the immediate classification reports.
+// drain loop — which is what the immediate classification reports. The
+// route is the one routing.Dijkstra + PathTo would return, bit for bit,
+// and an unknown endpoint fails with the same error.
+//
+//qntn:hotpath once per arrival and per queued request at every drain
 func (ad *admission) tryServe(now time.Duration, q queuedRequest, onArrival bool) (bool, error) {
 	ad.evaluated++
-	sp, ok := ad.memo[q.req.Src]
+	src, ok := ad.graph.IndexOf(q.req.Src)
 	if !ok {
-		var err error
-		sp, err = routing.Dijkstra(ad.graph, q.req.Src, routing.InverseEtaCost(ad.sc.Params.RoutingEpsilon))
-		if err != nil {
-			return false, err
-		}
-		ad.memo[q.req.Src] = sp
+		return false, fmt.Errorf("routing: unknown source %q", q.req.Src)
 	}
-	if math.IsInf(sp.Dist[q.req.Dst], 1) {
+	dst, ok := ad.graph.IndexOf(q.req.Dst)
+	if !ok {
+		return false, fmt.Errorf("routing: unknown destination %q", q.req.Dst)
+	}
+	sp := ad.route(src)
+	if !sp.Reachable(dst) {
 		return false, nil
 	}
-	path, err := sp.PathTo(q.req.Dst)
-	if err != nil {
-		return false, err
-	}
-	e, err := ad.ev.evaluate(ad.graph, path, q.req, now)
+	ad.path = sp.PathInto(ad.path[:0], ad.graph, dst)
+	e, err := ad.ev.evaluate(ad.graph, ad.path, q.req, now)
 	if err != nil {
 		return false, err
 	}
@@ -199,10 +242,12 @@ func (ad *admission) tryServe(now time.Duration, q queuedRequest, onArrival bool
 	if onArrival {
 		ad.immediate++
 	}
+	//qntn:coldpath amortized growth: one entry per served request
 	ad.waits = append(ad.waits, wait.Seconds())
 	if wait > ad.maxWait {
 		ad.maxWait = wait
 	}
+	//qntn:coldpath amortized growth: one entry per served request
 	ad.fids = append(ad.fids, e.fidelity)
 	ad.fidSum += e.fidelity
 	return true, nil

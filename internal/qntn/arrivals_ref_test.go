@@ -247,10 +247,11 @@ func TestArrivalImmediateClassificationBoundary(t *testing.T) {
 
 	ad := newAdmission(sc)
 	at := 30 * time.Second
-	ad.graph = routing.NewGraph()
-	if err := sc.GraphInto(ad.graph, at); err != nil {
+	g := routing.NewGraph()
+	if err := sc.GraphInto(g, at); err != nil {
 		t.Fatal(err)
 	}
+	ad.refresh(g)
 
 	// A request that entered the queue at t and is drained at the same t:
 	// zero wait, but served by the drain loop.

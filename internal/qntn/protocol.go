@@ -99,6 +99,8 @@ func (pe *evaluator) pairKey(req netsim.Request, at time.Duration) uint64 {
 // The scalar reference in oracletest reimplements the protocol pipeline
 // naively (cloned graphs, map Dijkstra, verbatim formulas); the
 // differential matrix pins the two DeepEqual-identical.
+//
+//qntn:hotpath once per admission attempt with a route
 func (pe *evaluator) evaluate(g *routing.Graph, path []string, req netsim.Request, at time.Duration) (evaluation, error) {
 	var out evaluation
 	model := pe.sc.Params.FidelityModel
@@ -149,6 +151,7 @@ func (pe *evaluator) evaluate(g *routing.Graph, path []string, req netsim.Reques
 			}
 			w = protocol.DephaseWerner(w, pe.sc.HeraldingLatency(lengthM, len(etas)), pe.cfg.MemoryT2)
 		}
+		//qntn:coldpath amortized growth: the attempt buffer holds ≤ k entries
 		pe.att = append(pe.att, w)
 	}
 	// Best-first stable ordering (insertion sort over the tiny attempt

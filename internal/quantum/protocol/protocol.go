@@ -86,7 +86,7 @@ func (c Config) Validate() error {
 	switch {
 	case c.MemoryT2 < 0:
 		return fmt.Errorf("protocol: negative memory T2")
-	case c.SwapSuccess <= 0 || c.SwapSuccess > 1:
+	case !(c.SwapSuccess > 0 && c.SwapSuccess <= 1):
 		return fmt.Errorf("protocol: swap success probability %g outside (0,1]", c.SwapSuccess)
 	case c.PurifyPaths < 0 || c.PurifyPaths > maxPurifyPaths:
 		return fmt.Errorf("protocol: purify path budget %d outside [0,%d]", c.PurifyPaths, maxPurifyPaths)

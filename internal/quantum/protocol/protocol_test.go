@@ -312,6 +312,15 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+// TestConfigValidateRejectsNaN: a NaN swap success probability fails
+// every comparison, so only the negated in-range check rejects it.
+func TestConfigValidateRejectsNaN(t *testing.T) {
+	c := protocol.Config{SwapSuccess: math.NaN(), PurifyPaths: 2}
+	if err := c.Validate(); err == nil {
+		t.Fatalf("Validate accepted %+v", c)
+	}
+}
+
 // TestChainSeedDistinctKeys: distinct pair keys derive distinct chain seeds
 // (splitmix injectivity), and the same key replays identically.
 func TestChainSeedDistinctKeys(t *testing.T) {

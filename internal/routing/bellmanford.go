@@ -40,8 +40,8 @@ type Tables struct {
 // must not be shared between goroutines.
 type BellmanFordScratch struct {
 	t Tables
-	// Flattened neighbor lists of the current graph: node u's neighbors
-	// are nbrs[off[u]:off[u+1]], ascending.
+	// The current graph's CSR neighbor lists, aliased for the Run: node
+	// u's neighbors are nbrs[off[u]:off[u+1]], ascending.
 	nbrs []int32
 	off  []int32
 	// words is ⌈n/64⌉, the stride of the node bitsets below.
@@ -101,8 +101,6 @@ func (s *BellmanFordScratch) Run(g *Graph, epsilon float64) *Tables {
 	s.words = (n + 63) / 64
 	t.cost = resize(t.cost, n*n)
 	t.via = resize(t.via, n*n)
-	s.off = resize(s.off, n+1)
-	s.nbrs = resize(s.nbrs, 2*len(g.keys))
 	s.adj = resize(s.adj, n*s.words)
 	s.pend = resize(s.pend, n*s.words)
 	s.cur = resize(s.cur, s.words)
@@ -131,39 +129,19 @@ func resize[T int32 | float64 | uint64](buf []T, n int) []T {
 	return make([]T, n)
 }
 
-// flatten builds the ascending neighbor lists and neighbor bitsets from
-// the graph's live-edge list in O(n+E). The list is ascending (i, j) with
-// i < j, so appending j to i and i to j in list order leaves every node's
-// neighbors ascending: first the smaller ones (keys (a, u), a < u), then
-// the larger ones (keys (u, b)).
+// flatten takes the graph's ascending CSR neighbor lists and builds the
+// neighbor bitsets from its live-edge list in O(n+E).
 //
 //qntn:hotpath runs on every converged snapshot; buffers are sized by Run
 func (s *BellmanFordScratch) flatten(g *Graph) {
-	n, w := s.t.n, s.words
-	off, adj := s.off, s.adj
-	clear(off)
+	s.off, s.nbrs, _ = g.csr()
+	w, adj := s.words, s.adj
 	clear(adj)
 	for _, k := range g.keys {
 		i, j := unpackKey(k)
-		off[i+1]++
-		off[j+1]++
 		adj[i*w+j>>6] |= 1 << (j & 63)
 		adj[j*w+i>>6] |= 1 << (i & 63)
 	}
-	for u := 0; u < n; u++ {
-		off[u+1] += off[u]
-	}
-	// Fill with off[u] as node u's cursor, then shift the advanced cursors
-	// (each now the end of its list) back into start offsets.
-	for _, k := range g.keys {
-		i, j := unpackKey(k)
-		s.nbrs[off[i]] = int32(j)
-		off[i]++
-		s.nbrs[off[j]] = int32(i)
-		off[j]++
-	}
-	copy(off[1:], off[:n])
-	off[0] = 0
 }
 
 // initialize seeds the tables per Algorithm 1's INITIALIZE: cost 0 to

@@ -27,6 +27,15 @@ const absentEdge = -1
 // EachEdge cost O(E) rather than O(n²). Reset and ResetEdges let callers
 // reuse one Graph across snapshots without reallocating; see those methods
 // for the invariants.
+//
+// Single-source searches (DijkstraScratch, DisjointScratch) scan a
+// compressed-sparse-row neighbour view instead of the dense rows: per node,
+// its neighbours ascending with their η. The view is built from the
+// live-edge list on the first search after a mutation and reused until the
+// next one; AddNode of a new node, every edge mutator, Reset and
+// ResetEdges mark it stale. BellmanFordScratch reads the same view. Because
+// a read may rebuild the view, a Graph is not safe for concurrent use, not
+// even by readers only.
 type Graph struct {
 	ids   []string
 	index map[string]int
@@ -40,6 +49,13 @@ type Graph struct {
 	// row-major i < j order of the matrix. Every matrix mutator keeps it
 	// in step; its length is the edge count.
 	keys []uint64
+	// The CSR neighbour view, one row per node, valid while csrOK:
+	// node u's neighbours are csrNbr[csrOff[u]:csrOff[u+1]], ascending,
+	// and csrEta holds the matching transmissivities.
+	csrOff []int32
+	csrNbr []int32
+	csrEta []float64
+	csrOK  bool
 }
 
 // edgeKey packs the undirected edge i-j as min<<32 | max, so ascending
@@ -69,6 +85,7 @@ func (g *Graph) AddNode(id string) int {
 	i := len(g.ids)
 	g.ids = append(g.ids, id)
 	g.index[id] = i
+	g.csrOK = false
 	return i
 }
 
@@ -118,6 +135,7 @@ func (g *Graph) Reset() {
 	g.mat = g.mat[:0]
 	g.matN = 0
 	g.keys = g.keys[:0]
+	g.csrOK = false
 }
 
 // ResetEdges removes every edge while keeping the node set. In the steady
@@ -136,6 +154,7 @@ func (g *Graph) ResetEdges() {
 		}
 	}
 	g.keys = g.keys[:0]
+	g.csrOK = false
 	g.ensureMat()
 }
 
@@ -158,6 +177,7 @@ func (g *Graph) setEdge(i, j int, eta float64) {
 	}
 	g.mat[i*g.matN+j] = eta
 	g.mat[j*g.matN+i] = eta
+	g.csrOK = false
 }
 
 // removeEdge clears the undirected edge i-j and unlists it if present;
@@ -171,6 +191,7 @@ func (g *Graph) removeEdge(i, j int) {
 	at, _ := slices.BinarySearch(g.keys, edgeKey(i, j))
 	copy(g.keys[at:], g.keys[at+1:])
 	g.keys = g.keys[:len(g.keys)-1]
+	g.csrOK = false
 }
 
 // AddEdge inserts (or updates) the undirected edge a-b with the given
@@ -312,6 +333,58 @@ func (g *Graph) Neighbors(id string) []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// csr returns the CSR neighbour view, rebuilding it if a mutation made it
+// stale. It has one row per node; nodes added since the last edge
+// operation have empty rows.
+//
+//qntn:hotpath once per single-source search; rebuilds once per mutation epoch
+func (g *Graph) csr() (off, nbr []int32, eta []float64) {
+	if !g.csrOK {
+		g.buildCSR()
+	}
+	return g.csrOff, g.csrNbr, g.csrEta
+}
+
+// buildCSR fills the CSR view from the live-edge list in O(n+E). The list
+// is ascending (i, j) with i < j, so appending j to i and i to j in list
+// order leaves every row ascending — first the smaller neighbours (keys
+// (a, u), a < u), then the larger ones (keys (u, b)). Rows therefore visit
+// neighbours in the order of a dense-row scan.
+//
+//qntn:hotpath buffers keep their capacity across snapshots
+func (g *Graph) buildCSR() {
+	n, m := len(g.ids), 2*len(g.keys)
+	//qntn:coldpath amortized growth: the view reuses its capacity
+	off := resize(g.csrOff, n+1)
+	//qntn:coldpath amortized growth: the view reuses its capacity
+	nbr := resize(g.csrNbr, m)
+	//qntn:coldpath amortized growth: the view reuses its capacity
+	eta := resize(g.csrEta, m)
+	clear(off)
+	for _, k := range g.keys {
+		i, j := unpackKey(k)
+		off[i+1]++
+		off[j+1]++
+	}
+	for u := 0; u < n; u++ {
+		off[u+1] += off[u]
+	}
+	// Fill with off[u] as node u's cursor, then shift the advanced cursors
+	// (each now the end of its row) back into start offsets.
+	for _, k := range g.keys {
+		i, j := unpackKey(k)
+		e := g.mat[i*g.matN+j]
+		nbr[off[i]], eta[off[i]] = int32(j), e
+		off[i]++
+		nbr[off[j]], eta[off[j]] = int32(i), e
+		off[j]++
+	}
+	copy(off[1:], off[:n])
+	off[0] = 0
+	g.csrOff, g.csrNbr, g.csrEta = off, nbr, eta
+	g.csrOK = true
 }
 
 // neighborIndices returns adjacent dense indices in ascending order.

@@ -6,19 +6,61 @@ import (
 )
 
 // DijkstraScratch is a reusable, allocation-free (after warm-up) replica of
-// Dijkstra over the dense adjacency matrix. It must stay BIT-IDENTICAL to
-// the map-packed baseline: same relaxation order (ascending dense-row scan,
-// matching neighborIndices), same strict-improvement rule, and a binary
-// heap transliterating container/heap's exact sift arithmetic — so that
-// predecessor choices agree even on cost ties, where which equal-cost
-// parent wins is decided purely by heap pop order. The differential suite
-// in scratchpaths_test.go pins this against routing.Dijkstra on randomized
-// tie-heavy graphs.
+// Dijkstra over the graph's CSR neighbour view. It must stay BIT-IDENTICAL
+// to the map-packed baseline: same relaxation order (ascending CSR rows,
+// matching neighborIndices' dense-row scan), same strict-improvement rule,
+// and a binary heap transliterating container/heap's exact sift arithmetic
+// — so that predecessor choices agree even on cost ties, where which
+// equal-cost parent wins is decided purely by heap pop order. The
+// differential suite in scratchpaths_test.go pins this against
+// routing.Dijkstra on randomized tie-heavy graphs, across mutations.
 type DijkstraScratch struct {
 	dist []float64
 	prev []int
 	done []bool
 	heap []heapItem
+	src  int
+}
+
+// Run computes single-source shortest paths under cost from the node at
+// dense index src (as returned by AddNode or IndexOf), which must be
+// present. The results stay readable through Reachable and PathInto until
+// the next Run.
+//
+//qntn:hotpath once per source of every admission step
+func (s *DijkstraScratch) Run(g *Graph, src int, cost CostFunc) {
+	s.run(g, src, cost, nil, -1, -1)
+}
+
+// Reachable reports whether the last Run reached the node at dense index
+// dst.
+func (s *DijkstraScratch) Reachable(dst int) bool {
+	return !math.IsInf(s.dist[dst], 1)
+}
+
+// PathInto appends the last Run's shortest path from its source to the
+// node at dense index dst to buf, as the graph's node IDs, and returns the
+// extended slice — routing.Dijkstra + PathTo without the allocations when
+// buf has capacity. An unreachable dst appends nothing.
+//
+//qntn:hotpath once per routed request
+func (s *DijkstraScratch) PathInto(buf []string, g *Graph, dst int) []string {
+	if !s.Reachable(dst) {
+		return buf
+	}
+	start := len(buf)
+	for cur := dst; ; cur = s.prev[cur] {
+		//qntn:coldpath amortized growth: buf is the caller's reused buffer
+		buf = append(buf, g.ids[cur])
+		if cur == s.src {
+			break
+		}
+	}
+	seg := buf[start:]
+	for i, j := 0, len(seg)-1; i < j; i, j = i+1, j-1 {
+		seg[i], seg[j] = seg[j], seg[i]
+	}
+	return buf
 }
 
 // run computes single-source shortest paths from dense index src. Nodes
@@ -48,30 +90,26 @@ func (s *DijkstraScratch) run(g *Graph, src int, cost CostFunc, blocked []bool, 
 		s.done[i] = false
 	}
 	s.dist[src] = 0
+	s.src = src
 	s.heap = s.heap[:0]
 	s.push(heapItem{node: src, dist: 0})
+	off, nbr, etas := g.csr()
 	for len(s.heap) > 0 {
 		u := s.pop().node
 		if s.done[u] {
 			continue
 		}
 		s.done[u] = true
-		if u >= g.matN {
-			continue
-		}
-		row := g.mat[u*g.matN : (u+1)*g.matN]
 		du := s.dist[u]
-		for v, eta := range row {
-			if eta < 0 {
-				continue
-			}
+		for e := off[u]; e < off[u+1]; e++ {
+			v := int(nbr[e])
 			if blocked != nil && blocked[v] {
 				continue
 			}
 			if (u == skipA && v == skipB) || (u == skipB && v == skipA) {
 				continue
 			}
-			if c := du + cost(eta); c < s.dist[v] {
+			if c := du + cost(etas[e]); c < s.dist[v] {
 				s.dist[v] = c
 				s.prev[v] = u
 				s.push(heapItem{node: v, dist: c})
@@ -147,11 +185,14 @@ type DisjointScratch struct {
 // primary itself first, then up to k−1 disjoint alternatives in greedy
 // order. The returned slices are valid only until the next Extract call on
 // the same scratch. k ≤ 1 returns just the primary.
+//
+//qntn:hotpath once per multi-hop protocol request evaluation
 func (s *DisjointScratch) Extract(g *Graph, primary []string, k int) ([][]string, error) {
 	if len(primary) < 2 {
 		return nil, fmt.Errorf("routing: disjoint extraction needs a path, got %d nodes", len(primary))
 	}
 	if s.cost == nil {
+		//qntn:coldpath first use of the scratch
 		s.cost = NegLogEtaCost(0)
 	}
 	n := g.NumNodes()
@@ -173,26 +214,20 @@ func (s *DisjointScratch) Extract(g *Graph, primary []string, k int) ([][]string
 	s.skipA, s.skipB = -1, -1
 	s.paths = s.paths[:0]
 	s.arena = s.arena[:0]
+	//qntn:coldpath amortized growth: the route list is reused across calls
 	s.paths = append(s.paths, primary)
 	if err := s.block(g, primary); err != nil {
 		return nil, err
 	}
 	for len(s.paths) < k {
 		s.dij.run(g, s.src, s.cost, s.blocked, s.skipA, s.skipB)
-		if math.IsInf(s.dij.dist[s.dst], 1) {
+		if !s.dij.Reachable(s.dst) {
 			break
 		}
 		start := len(s.arena)
-		for cur := s.dst; ; cur = s.dij.prev[cur] {
-			s.arena = append(s.arena, g.ids[cur])
-			if cur == s.src {
-				break
-			}
-		}
+		s.arena = s.dij.PathInto(s.arena, g, s.dst)
 		seg := s.arena[start:len(s.arena):len(s.arena)]
-		for i, j := 0, len(seg)-1; i < j; i, j = i+1, j-1 {
-			seg[i], seg[j] = seg[j], seg[i]
-		}
+		//qntn:coldpath amortized growth: the route list is reused across calls
 		s.paths = append(s.paths, seg)
 		if err := s.block(g, seg); err != nil {
 			return nil, err

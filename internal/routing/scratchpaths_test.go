@@ -1,9 +1,11 @@
 package routing
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -235,6 +237,122 @@ func TestEdgeEtasIntoMatchesEdgeEtas(t *testing.T) {
 		buf = got
 		if !reflect.DeepEqual(append([]float64(nil), got...), want) {
 			t.Fatalf("EdgeEtasInto = %v, EdgeEtas = %v", got, want)
+		}
+	}
+}
+
+// matchSingleSource pins DijkstraScratch.Run + PathInto against the oracle
+// routing.Dijkstra + PathTo from every source of g: distance bits,
+// reachability and the reconstructed paths.
+func matchSingleSource(t *testing.T, label string, s *DijkstraScratch, g *Graph, cost CostFunc) {
+	t.Helper()
+	var buf []string
+	for si, src := range g.ids {
+		want, err := Dijkstra(g, src, cost)
+		if err != nil {
+			t.Fatalf("%s: Dijkstra: %v", label, err)
+		}
+		s.Run(g, si, cost)
+		for di, dst := range g.ids {
+			wd := want.Dist[dst]
+			if math.Float64bits(s.dist[di]) != math.Float64bits(wd) {
+				t.Fatalf("%s: dist %s->%s = %v, oracle %v", label, src, dst, s.dist[di], wd)
+			}
+			buf = s.PathInto(buf[:0], g, di)
+			if !s.Reachable(di) {
+				if !math.IsInf(wd, 1) || len(buf) != 0 {
+					t.Fatalf("%s: %s->%s unreachable with path %v, oracle dist %v", label, src, dst, buf, wd)
+				}
+				continue
+			}
+			wp, err := want.PathTo(dst)
+			if err != nil {
+				t.Fatalf("%s: PathTo: %v", label, err)
+			}
+			if !slices.Equal(buf, wp) {
+				t.Fatalf("%s: path %s->%s = %v, oracle %v", label, src, dst, buf, wp)
+			}
+		}
+	}
+}
+
+// TestDijkstraScratchRunMatchesOracleAcrossMutations drives one graph and
+// one scratch through a random mutation sequence — out-of-order inserts,
+// η updates, removals, ResetEdges, AddNode with and without the matrix
+// re-stride that follows, and Reset — and queries after every step, so a
+// mutator that leaves the cached CSR view stale shows up as a distance or
+// path mismatch against the oracle, which scans the dense matrix.
+func TestDijkstraScratchRunMatchesOracleAcrossMutations(t *testing.T) {
+	etas := []float64{0.25, 0.5, 0.5, 1.0}
+	costs := []CostFunc{NegLogEtaCost(0), InverseEtaCost(0)}
+	ops := map[string]int{}
+	for trial := 0; trial < 6; trial++ {
+		rng := rand.New(rand.NewSource(int64(100 + trial)))
+		g := tieGraph(t, rng, 6+rng.Intn(14), 0.3)
+		var s DijkstraScratch
+		next := g.NumNodes()
+		addRandom := func(count int) {
+			for k := 0; k < count; k++ {
+				n := g.NumNodes()
+				i, j := rng.Intn(n), rng.Intn(n)
+				if i == j {
+					continue
+				}
+				if err := g.AddEdgeByIndex(i, j, etas[rng.Intn(len(etas))]); err != nil {
+					t.Fatalf("AddEdgeByIndex: %v", err)
+				}
+			}
+		}
+		for step := 0; step < 40; step++ {
+			var op string
+			switch r := rng.Intn(12); {
+			case r < 4:
+				op = "insert"
+				addRandom(1 + rng.Intn(3))
+			case r < 6:
+				op = "update"
+				if g.NumEdges() > 0 {
+					i, j := unpackKey(g.keys[rng.Intn(g.NumEdges())])
+					if err := g.AddEdgeByIndex(i, j, etas[rng.Intn(len(etas))]); err != nil {
+						t.Fatalf("AddEdgeByIndex: %v", err)
+					}
+				}
+			case r < 9:
+				op = "remove"
+				if g.NumEdges() > 0 {
+					i, j := unpackKey(g.keys[rng.Intn(g.NumEdges())])
+					g.RemoveEdgeByIndex(j, i)
+				}
+			case r < 10:
+				op = "reset-edges"
+				g.ResetEdges()
+				matchSingleSource(t, fmt.Sprintf("trial %d step %d (%s, empty)", trial, step, op), &s, g, costs[step%2])
+				addRandom(g.NumNodes())
+			case r < 11:
+				op = "add-node"
+				u := g.AddNode(nodeName(next))
+				next++
+				matchSingleSource(t, fmt.Sprintf("trial %d step %d (%s, before re-stride)", trial, step, op), &s, g, costs[step%2])
+				if err := g.AddEdgeByIndex(u, rng.Intn(u), etas[rng.Intn(len(etas))]); err != nil {
+					t.Fatalf("AddEdgeByIndex: %v", err)
+				}
+			default:
+				op = "reset"
+				g.Reset()
+				next = 5 + rng.Intn(14)
+				for i := 0; i < next; i++ {
+					g.AddNode(nodeName(i))
+				}
+				matchSingleSource(t, fmt.Sprintf("trial %d step %d (%s, no edges)", trial, step, op), &s, g, costs[step%2])
+				addRandom(2 * next)
+			}
+			ops[op]++
+			matchSingleSource(t, fmt.Sprintf("trial %d step %d (%s)", trial, step, op), &s, g, costs[step%2])
+		}
+	}
+	for _, op := range []string{"insert", "update", "remove", "reset-edges", "add-node", "reset"} {
+		if ops[op] == 0 {
+			t.Fatalf("mutation %q never exercised: %v", op, ops)
 		}
 	}
 }

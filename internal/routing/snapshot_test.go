@@ -2,6 +2,7 @@ package routing_test
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -61,4 +62,60 @@ func BenchmarkBellmanFordSnapshot108(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s.Run(graphs[i%len(graphs)], p.RoutingEpsilon)
 	}
+}
+
+// BenchmarkSingleSourceSnapshot108 times one single-source search plus
+// path reconstruction between ground hosts of different networks on real
+// Fig. 7 snapshots (108 satellites), cycling through instants across the
+// day: the admission kernel DijkstraScratch.Run + PathInto next to the
+// oracle routing.Dijkstra + PathTo. Each graph's CSR view is built on its
+// first search and reused after, as within one admission step.
+func BenchmarkSingleSourceSnapshot108(b *testing.B) {
+	p := qntn.DefaultParams()
+	sc, err := qntn.NewSpaceGround(108, p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	graphs := make([]*routing.Graph, len(snapshotInstants))
+	for k, at := range snapshotInstants {
+		graphs[k] = routing.NewGraph()
+		if err := sc.GraphInto(graphs[k], at); err != nil {
+			b.Fatal(err)
+		}
+	}
+	type pair struct{ src, dst string }
+	var pairs []pair
+	for i, a := range sc.LANs {
+		c := sc.LANs[(i+1)%len(sc.LANs)]
+		pairs = append(pairs, pair{sc.GroundIDs[a.Name][0], sc.GroundIDs[c.Name][0]})
+	}
+	cost := routing.InverseEtaCost(p.RoutingEpsilon)
+	b.Run("scratch", func(b *testing.B) {
+		var s routing.DijkstraScratch
+		var path []string
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			g, q := graphs[i%len(graphs)], pairs[i%len(pairs)]
+			si, _ := g.IndexOf(q.src)
+			di, _ := g.IndexOf(q.dst)
+			s.Run(g, si, cost)
+			path = s.PathInto(path[:0], g, di)
+		}
+	})
+	b.Run("oracle", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			g, q := graphs[i%len(graphs)], pairs[i%len(pairs)]
+			res, err := routing.Dijkstra(g, q.src, cost)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if math.IsInf(res.Dist[q.dst], 1) {
+				continue
+			}
+			if _, err := res.PathTo(q.dst); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
