@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"strconv"
@@ -8,6 +9,7 @@ import (
 
 	"qntn/internal/qntn"
 	"qntn/internal/quantum/protocol"
+	"qntn/internal/runner"
 )
 
 // ProtocolPoint reports one (architecture, memory T2, purification budget)
@@ -44,74 +46,93 @@ const protocolHybridRelays = 12
 // entanglement-protocol layer: for every space-ground constellation size
 // plus the hybrid architecture it runs the serve experiment once with the
 // protocol disabled (the paper's seed model) and once per (memory T2,
-// purification budget) grid cell, all sweep rows through the parallel sweep
-// engine. base carries the grid-invariant protocol knobs — swap success
-// probability and draw seed; its MemoryT2 and PurifyPaths are overridden
-// per cell. Deterministic for fixed inputs and worker-count invariant (the
-// sweep engine's guarantee, pinned by the worker-matrix golden test).
+// purification budget) grid cell. base carries the grid-invariant protocol
+// knobs — swap success probability and draw seed; its MemoryT2 and
+// PurifyPaths are overridden per cell.
+//
+// Every cell, size and cfg is validated before any serve run starts, and
+// the largest constellation is propagated once for the whole study (the
+// protocol does not enter propagation). The runs then form one task pool:
+// task c·(len(sizes)+1)+i serves size i of cell c, the last task of each
+// cell its hybrid, so rows come out cell-major in task order and no cell
+// waits for the previous one to finish. Each task — hybrid included —
+// writes telemetry to its own shard, merged in task order after the pool,
+// so the counters and the flushed event stream do not depend on workers
+// (workers <= 0 selects one per CPU). Deterministic for fixed inputs and
+// worker-count invariant, pinned by the worker-matrix golden test and by
+// the cell-sequential reference in the tests.
 func ProtocolStudyParallel(p qntn.Params, cfg qntn.ServeConfig, base protocol.Config, sizes []int, t2s []time.Duration, budgets []int, workers int) ([]ProtocolPoint, error) {
 	if len(sizes) == 0 || len(t2s) == 0 || len(budgets) == 0 {
 		return nil, fmt.Errorf("experiments: protocol study requires sizes, T2 levels and purify budgets")
 	}
-	cell := func(pc qntn.Params, point ProtocolPoint) ([]ProtocolPoint, error) {
-		srv, err := qntn.ServeSweepParallel(pc, sizes, cfg, workers)
-		if err != nil {
-			return nil, err
-		}
-		rows := make([]ProtocolPoint, 0, len(sizes)+1)
-		for i := range sizes {
-			r := point
-			r.Architecture = qntn.SpaceGround.String()
-			r.Satellites = sizes[i]
-			r.ServedPercent = srv[i].Result.ServedPercent
-			r.MeanFidelity = srv[i].Result.MeanFidelity
-			r.MeanPathEta = srv[i].Result.MeanPathEta
-			rows = append(rows, r)
-		}
-		sc, err := qntn.NewHybrid(protocolHybridRelays, pc)
-		if err != nil {
-			return nil, err
-		}
-		hyb, err := sc.RunServe(cfg)
-		if err != nil {
-			return nil, err
-		}
-		r := point
-		r.Architecture = qntn.Hybrid.String()
-		r.Satellites = protocolHybridRelays
-		r.ServedPercent = hyb.ServedPercent
-		r.MeanFidelity = hyb.MeanFidelity
-		r.MeanPathEta = hyb.MeanPathEta
-		rows = append(rows, r)
-		return rows, nil
+	type studyCell struct {
+		label  string
+		params qntn.Params
+		cache  *qntn.EphemerisCache
+		point  ProtocolPoint
 	}
 	pp := p
 	pp.Protocol = protocol.Config{}
-	rows, err := cell(pp, ProtocolPoint{})
+	cache, err := qntn.ServeEphemeris(pp, sizes, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: protocol study baseline: %w", err)
 	}
+	cells := []studyCell{{label: "baseline", params: pp, cache: cache}}
 	for _, t2 := range t2s {
 		for _, k := range budgets {
-			pc := p
-			pc.Protocol = base
-			pc.Protocol.MemoryT2 = t2
-			pc.Protocol.PurifyPaths = k
-			if err := pc.Protocol.Validate(); err != nil {
-				return nil, fmt.Errorf("experiments: protocol study cell (t2=%v, k=%d): %w", t2, k, err)
+			pc := base
+			pc.MemoryT2 = t2
+			pc.PurifyPaths = k
+			label := fmt.Sprintf("cell (t2=%v, k=%d)", t2, k)
+			cc, err := cache.WithProtocol(pc)
+			if err != nil {
+				return nil, fmt.Errorf("experiments: protocol study %s: %w", label, err)
 			}
-			cellRows, err := cell(pc, ProtocolPoint{
+			cp := p
+			cp.Protocol = pc
+			cells = append(cells, studyCell{label: label, params: cp, cache: cc, point: ProtocolPoint{
 				Enabled:     true,
 				MemoryT2:    t2,
-				SwapSuccess: pc.Protocol.SwapSuccess,
-				PurifyPaths: pc.Protocol.Paths(),
-			})
-			if err != nil {
-				return nil, fmt.Errorf("experiments: protocol study cell (t2=%v, k=%d): %w", t2, k, err)
-			}
-			rows = append(rows, cellRows...)
+				SwapSuccess: pc.SwapSuccess,
+				PurifyPaths: pc.Paths(),
+			}})
 		}
 	}
+	perCell := len(sizes) + 1
+	rows := make([]ProtocolPoint, len(cells)*perCell)
+	shards := p.Telemetry.Shards(len(rows))
+	err = runner.Map(context.Background(), len(rows), workers, func(_ context.Context, task int) error {
+		c := &cells[task/perCell]
+		r := c.point
+		var sc *qntn.Scenario
+		var err error
+		if i := task % perCell; i < len(sizes) {
+			r.Architecture, r.Satellites = qntn.SpaceGround.String(), sizes[i]
+			sc, err = c.cache.Scenario(sizes[i])
+		} else {
+			r.Architecture, r.Satellites = qntn.Hybrid.String(), protocolHybridRelays
+			sc, err = qntn.NewHybrid(protocolHybridRelays, c.params)
+		}
+		if err != nil {
+			return fmt.Errorf("experiments: protocol study %s: %w", c.label, err)
+		}
+		if shards != nil {
+			sc.Instrument(shards[task])
+		}
+		res, err := sc.RunServe(cfg)
+		if err != nil {
+			return fmt.Errorf("experiments: protocol study %s, %s at %d relays: %w", c.label, r.Architecture, r.Satellites, err)
+		}
+		r.ServedPercent = res.ServedPercent
+		r.MeanFidelity = res.MeanFidelity
+		r.MeanPathEta = res.MeanPathEta
+		rows[task] = r
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	p.Telemetry.MergeShards(shards)
 	return rows, nil
 }
 

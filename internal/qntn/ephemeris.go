@@ -7,6 +7,7 @@ import (
 	"qntn/internal/geo"
 	"qntn/internal/netsim"
 	"qntn/internal/orbit"
+	"qntn/internal/quantum/protocol"
 )
 
 // propagationHook, when non-nil, observes every propagation pass over the
@@ -99,6 +100,20 @@ func NewEphemerisCache(nSats int, p Params, times []time.Duration) (*EphemerisCa
 		cache.sats[i] = sat
 	}
 	return cache, nil
+}
+
+// WithProtocol returns the cache with the entanglement-protocol layer of its
+// parameters replaced by pc, sharing the propagated fleet: the protocol
+// does not enter propagation, so the cells of a protocol study serve from
+// one ephemeris. The new parameters are validated, as NewEphemerisCache
+// validates its own.
+func (c *EphemerisCache) WithProtocol(pc protocol.Config) (*EphemerisCache, error) {
+	p := c.params
+	p.Protocol = pc
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	return &EphemerisCache{params: p, sats: c.sats}, nil
 }
 
 // MaxSatellites returns the cached catalog size.

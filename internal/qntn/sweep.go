@@ -255,20 +255,11 @@ func ServeSweepParallel(p Params, sizes []int, cfg ServeConfig, workers int) ([]
 	if len(sizes) == 0 {
 		return nil, nil
 	}
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	cfg = cfg.withDefaults()
-	maxN := 0
-	for _, n := range sizes {
-		if n > maxN {
-			maxN = n
-		}
-	}
-	cache, err := NewEphemerisCache(maxN, p, cfg.sampleTimes(p))
+	cache, err := ServeEphemeris(p, sizes, cfg)
 	if err != nil {
 		return nil, err
 	}
+	cfg = cfg.withDefaults()
 	// Each size writes telemetry into its own shard — sharded by task, not
 	// by worker, so the partition is scheduling-independent — and the shards
 	// merge back in size order after the fan-out. Nil when uninstrumented.
@@ -294,6 +285,27 @@ func ServeSweepParallel(p Params, sizes []int, cfg ServeConfig, workers int) ([]
 	}
 	p.Telemetry.MergeShards(shards)
 	return points, nil
+}
+
+// ServeEphemeris validates a serve sweep — the parameters, cfg and the
+// sizes (positive, the largest a catalog prefix) — and propagates its
+// largest constellation once at cfg's sample times: the fleet every size
+// of the sweep is served from (through EphemerisCache.Scenario). Callers
+// that fan out their own serve tasks get the sweep's validation and
+// ephemeris without running it.
+func ServeEphemeris(p Params, sizes []int, cfg ServeConfig) (*EphemerisCache, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	cfg = cfg.withDefaults()
+	maxN := 0
+	for _, n := range sizes {
+		if n < 1 {
+			return nil, fmt.Errorf("qntn: serve sweep size %d is not positive", n)
+		}
+		maxN = max(maxN, n)
+	}
+	return NewEphemerisCache(maxN, p, cfg.sampleTimes(p))
 }
 
 // ServeStats aggregates one sweep size over independent workload replicas.
@@ -322,20 +334,11 @@ func ServeSweepReplicated(p Params, sizes []int, cfg ServeConfig, replicas, work
 	if len(sizes) == 0 {
 		return nil, nil
 	}
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	cfg = cfg.withDefaults()
-	maxN := 0
-	for _, n := range sizes {
-		if n > maxN {
-			maxN = n
-		}
-	}
-	cache, err := NewEphemerisCache(maxN, p, cfg.sampleTimes(p))
+	cache, err := ServeEphemeris(p, sizes, cfg)
 	if err != nil {
 		return nil, err
 	}
+	cfg = cfg.withDefaults()
 	served := make([][]float64, len(sizes))
 	fidelity := make([][]float64, len(sizes))
 	for i := range sizes {

@@ -36,6 +36,11 @@ const absentEdge = -1
 // ResetEdges mark it stale. BellmanFordScratch reads the same view. Because
 // a read may rebuild the view, a Graph is not safe for concurrent use, not
 // even by readers only.
+//
+// Every rebuild bumps the view's generation number. A reader that derives a
+// column from the view (DisjointScratch's −log η costs) keys it by the
+// graph and that generation: the column is current exactly when both still
+// match, since no mutation reaches a search without a rebuild in between.
 type Graph struct {
 	ids   []string
 	index map[string]int
@@ -56,6 +61,8 @@ type Graph struct {
 	csrNbr []int32
 	csrEta []float64
 	csrOK  bool
+	// csrGen counts the view's rebuilds; see the type comment.
+	csrGen uint64
 }
 
 // edgeKey packs the undirected edge i-j as min<<32 | max, so ascending
@@ -385,6 +392,7 @@ func (g *Graph) buildCSR() {
 	off[0] = 0
 	g.csrOff, g.csrNbr, g.csrEta = off, nbr, eta
 	g.csrOK = true
+	g.csrGen++
 }
 
 // neighborIndices returns adjacent dense indices in ascending order.

@@ -24,12 +24,29 @@ type DijkstraScratch struct {
 
 // Run computes single-source shortest paths under cost from the node at
 // dense index src (as returned by AddNode or IndexOf), which must be
-// present. The results stay readable through Reachable and PathInto until
-// the next Run.
+// present. cost must be nonnegative, as the baseline requires. The results
+// stay readable through Reachable and PathInto until the next Run.
 //
 //qntn:hotpath once per source of every admission step
 func (s *DijkstraScratch) Run(g *Graph, src int, cost CostFunc) {
-	s.run(g, src, cost, nil, -1, -1)
+	off, nbr, etas := g.csr()
+	s.start(g.NumNodes(), src)
+	for len(s.heap) > 0 {
+		u := s.pop().node
+		if s.done[u] {
+			continue
+		}
+		s.done[u] = true
+		du := s.dist[u]
+		for e := off[u]; e < off[u+1]; e++ {
+			v := int(nbr[e])
+			if c := du + cost(etas[e]); c < s.dist[v] {
+				s.dist[v] = c
+				s.prev[v] = u
+				s.push(heapItem{node: v, dist: c})
+			}
+		}
+	}
 }
 
 // Reachable reports whether the last Run reached the node at dense index
@@ -63,15 +80,44 @@ func (s *DijkstraScratch) PathInto(buf []string, g *Graph, dst int) []string {
 	return buf
 }
 
-// run computes single-source shortest paths from dense index src. Nodes
-// with blocked[v] true are unusable (nil means none), and when skipA/skipB
-// are ≥ 0 the single direct edge between them is ignored in both
-// directions — the scratch equivalent of deleting vertices (rsp. one edge)
-// from a cloned graph. cost must be nonnegative, as the baseline requires.
+// runColumn is Run over a restricted graph, with precomputed weights:
+// CSR entry e of g's current view costs costs[e], nodes with blocked[v]
+// true are unusable (blocked holds one flag per node), and when
+// skipA/skipB are ≥ 0 the single direct edge between them is ignored in
+// both directions — the scratch equivalent of deleting vertices (rsp. one
+// edge) from a cloned graph. Run's relaxation with costs[e] = cost(η)
+// gives the same bits.
 //
 //qntn:hotpath once per redundant protocol route of every served request
-func (s *DijkstraScratch) run(g *Graph, src int, cost CostFunc, blocked []bool, skipA, skipB int) {
-	n := g.NumNodes()
+func (s *DijkstraScratch) runColumn(g *Graph, src int, costs []float64, blocked []bool, skipA, skipB int) {
+	off, nbr, _ := g.csr()
+	s.start(g.NumNodes(), src)
+	for len(s.heap) > 0 {
+		u := s.pop().node
+		if s.done[u] {
+			continue
+		}
+		s.done[u] = true
+		du := s.dist[u]
+		for e := off[u]; e < off[u+1]; e++ {
+			v := int(nbr[e])
+			if blocked[v] {
+				continue
+			}
+			if (u == skipA && v == skipB) || (u == skipB && v == skipA) {
+				continue
+			}
+			if c := du + costs[e]; c < s.dist[v] {
+				s.dist[v] = c
+				s.prev[v] = u
+				s.push(heapItem{node: v, dist: c})
+			}
+		}
+	}
+}
+
+// start sizes the scratch for n nodes and seeds a search from src.
+func (s *DijkstraScratch) start(n, src int) {
 	if cap(s.dist) < n {
 		//qntn:coldpath warm-up sizing
 		s.dist = make([]float64, n)
@@ -93,29 +139,6 @@ func (s *DijkstraScratch) run(g *Graph, src int, cost CostFunc, blocked []bool, 
 	s.src = src
 	s.heap = s.heap[:0]
 	s.push(heapItem{node: src, dist: 0})
-	off, nbr, etas := g.csr()
-	for len(s.heap) > 0 {
-		u := s.pop().node
-		if s.done[u] {
-			continue
-		}
-		s.done[u] = true
-		du := s.dist[u]
-		for e := off[u]; e < off[u+1]; e++ {
-			v := int(nbr[e])
-			if blocked != nil && blocked[v] {
-				continue
-			}
-			if (u == skipA && v == skipB) || (u == skipB && v == skipA) {
-				continue
-			}
-			if c := du + cost(etas[e]); c < s.dist[v] {
-				s.dist[v] = c
-				s.prev[v] = u
-				s.push(heapItem{node: v, dist: c})
-			}
-		}
-	}
 }
 
 // push appends and sifts up with container/heap's exact arithmetic
@@ -171,9 +194,21 @@ func (s *DijkstraScratch) pop() heapItem {
 // reference in qntn/oracletest pins this: blocking interior vertices here
 // replaces deleting their incident edges there, and a consumed direct
 // src–dst edge is skipped rather than removed.
+//
+// The searches read −log η from a column aligned to the graph's CSR view
+// instead of taking a logarithm per scanned entry. The column is keyed by
+// (graph, view generation) and refilled on the first search after either
+// changes: any mutation makes the view stale, the next search rebuilds it
+// and bumps the generation, so a matching key means the column holds the
+// cost of every entry of the current view. The scratch holds the graph
+// pointer, so the graph cannot be freed and its address reused while the
+// key names it.
 type DisjointScratch struct {
 	dij          DijkstraScratch
 	cost         CostFunc
+	costs        []float64
+	costG        *Graph
+	costGen      uint64
 	blocked      []bool
 	arena        []string
 	paths        [][]string
@@ -220,7 +255,7 @@ func (s *DisjointScratch) Extract(g *Graph, primary []string, k int) ([][]string
 		return nil, err
 	}
 	for len(s.paths) < k {
-		s.dij.run(g, s.src, s.cost, s.blocked, s.skipA, s.skipB)
+		s.dij.runColumn(g, s.src, s.costColumn(g), s.blocked, s.skipA, s.skipB)
 		if !s.dij.Reachable(s.dst) {
 			break
 		}
@@ -234,6 +269,22 @@ func (s *DisjointScratch) Extract(g *Graph, primary []string, k int) ([][]string
 		}
 	}
 	return s.paths, nil
+}
+
+// costColumn returns cost(η) for every entry of g's CSR view, refilling
+// the column only when g or its view generation differs from the last
+// fill.
+func (s *DisjointScratch) costColumn(g *Graph) []float64 {
+	_, _, etas := g.csr()
+	if s.costG != g || s.costGen != g.csrGen {
+		//qntn:coldpath column fill, once per view rebuild; the column reuses its capacity
+		s.costs = resize(s.costs, len(etas))
+		for e, eta := range etas {
+			s.costs[e] = s.cost(eta)
+		}
+		s.costG, s.costGen = g, g.csrGen
+	}
+	return s.costs
 }
 
 // block marks a consumed path's interior vertices unusable. A single-edge

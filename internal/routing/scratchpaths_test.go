@@ -56,7 +56,7 @@ func TestDijkstraScratchMatchesBaseline(t *testing.T) {
 				if err != nil {
 					t.Fatalf("Dijkstra: %v", err)
 				}
-				scratch.run(g, si, cost, nil, -1, -1)
+				scratch.Run(g, si, cost)
 				for i, id := range g.ids {
 					if scratch.dist[i] != want.Dist[id] && !(math.IsInf(scratch.dist[i], 1) && math.IsInf(want.Dist[id], 1)) {
 						t.Fatalf("trial %d cost %s src %s: dist[%s] = %v, baseline %v",
@@ -354,5 +354,183 @@ func TestDijkstraScratchRunMatchesOracleAcrossMutations(t *testing.T) {
 		if ops[op] == 0 {
 			t.Fatalf("mutation %q never exercised: %v", op, ops)
 		}
+	}
+}
+
+// matchExtract pins ds.Extract on g against a fresh scratch and the
+// clone-and-delete reference for every ordered endpoint pair the primary
+// search reaches, at budget k. It returns how many extractions found an
+// alternative route (so searched the cost column).
+func matchExtract(t *testing.T, label string, ds *DisjointScratch, g *Graph, k int) int {
+	t.Helper()
+	searched := 0
+	for _, src := range g.ids {
+		for _, dst := range g.ids {
+			if src == dst {
+				continue
+			}
+			primary, _, err := BestTransmissivityPath(g, src, dst)
+			if err != nil {
+				continue
+			}
+			want := refDisjointPaths(t, g, primary, k)
+			var fresh DisjointScratch
+			fp, err := fresh.Extract(g, primary, k)
+			if err != nil {
+				t.Fatalf("%s: fresh Extract: %v", label, err)
+			}
+			if !reflect.DeepEqual(fp, want) {
+				t.Fatalf("%s %s->%s: fresh scratch %v, reference %v", label, src, dst, fp, want)
+			}
+			got, err := ds.Extract(g, primary, k)
+			if err != nil {
+				t.Fatalf("%s: Extract: %v", label, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s %s->%s: reused scratch %v, reference %v", label, src, dst, got, want)
+			}
+			if len(got) > 1 {
+				searched++
+			}
+		}
+	}
+	return searched
+}
+
+// TestDisjointScratchCostColumnAcrossMutations drives one DisjointScratch
+// through every graph mutator — η update, removal, ResetEdges, AddNode
+// before and after the re-stride that follows, Reset — and alternates it
+// between two graphs whose CSR views have the same generation. After each
+// step its routes must equal a fresh scratch's and the reference's, so a
+// cost column reused across a view rebuild, or across graphs, shows up as
+// a route mismatch (or an out-of-range read).
+func TestDisjointScratchCostColumnAcrossMutations(t *testing.T) {
+	etas := []float64{0.25, 0.5, 0.5, 1.0}
+	ops := map[string]int{}
+	searched := 0
+	for trial := 0; trial < 4; trial++ {
+		rng := rand.New(rand.NewSource(int64(300 + trial)))
+		g := tieGraph(t, rng, 8+rng.Intn(8), 0.35)
+		var ds DisjointScratch
+		next := g.NumNodes()
+		addRandom := func(count int) {
+			for c := 0; c < count; c++ {
+				n := g.NumNodes()
+				i, j := rng.Intn(n), rng.Intn(n)
+				if i == j {
+					continue
+				}
+				if err := g.AddEdgeByIndex(i, j, etas[rng.Intn(len(etas))]); err != nil {
+					t.Fatalf("AddEdgeByIndex: %v", err)
+				}
+			}
+		}
+		check := func(op, note string) {
+			searched += matchExtract(t, fmt.Sprintf("trial %d %s%s", trial, op, note), &ds, g, 2+rng.Intn(3))
+		}
+		check("initial", "")
+		for step := 0; step < 24; step++ {
+			var op string
+			switch step % 6 {
+			case 0:
+				op = "update"
+				for c := 0; c < 1+g.NumEdges()/4 && g.NumEdges() > 0; c++ {
+					i, j := unpackKey(g.keys[rng.Intn(g.NumEdges())])
+					if err := g.AddEdgeByIndex(i, j, etas[rng.Intn(len(etas))]); err != nil {
+						t.Fatalf("AddEdgeByIndex: %v", err)
+					}
+				}
+			case 1:
+				op = "remove"
+				for c := 0; c < 2 && g.NumEdges() > 0; c++ {
+					i, j := unpackKey(g.keys[rng.Intn(g.NumEdges())])
+					g.RemoveEdgeByIndex(i, j)
+				}
+			case 2:
+				op = "reset-edges"
+				g.ResetEdges()
+				check(op, " (empty)")
+				addRandom(2 * g.NumNodes())
+			case 3:
+				op = "add-node"
+				u := g.AddNode(nodeName(next))
+				next++
+				check(op, " (before re-stride)")
+				for c := 0; c < 3; c++ {
+					if err := g.AddEdgeByIndex(u, rng.Intn(u), etas[rng.Intn(len(etas))]); err != nil {
+						t.Fatalf("AddEdgeByIndex: %v", err)
+					}
+				}
+			case 4:
+				op = "reset"
+				g.Reset()
+				next = 8 + rng.Intn(8)
+				for i := 0; i < next; i++ {
+					g.AddNode(nodeName(i))
+				}
+				check(op, " (no edges)")
+				addRandom(2 * next)
+			default:
+				// Two fresh graphs over the same node set have views of
+				// the same generation after one search each; alternating
+				// between them leaves only the graph to tell the columns
+				// apart.
+				op = "alternate"
+				h1 := tieGraph(t, rng, g.NumNodes(), 0.35)
+				h2 := tieGraph(t, rng, g.NumNodes(), 0.35)
+				for round := 0; round < 2; round++ {
+					for hi, h := range []*Graph{h1, h2} {
+						searched += matchExtract(t, fmt.Sprintf("trial %d alternate graph %d round %d", trial, hi, round), &ds, h, 3)
+					}
+				}
+				if h1.csrGen != h2.csrGen {
+					t.Fatalf("alternated views have generations %d and %d, want equal", h1.csrGen, h2.csrGen)
+				}
+			}
+			ops[op]++
+			check(op, "")
+		}
+	}
+	for _, op := range []string{"update", "remove", "reset-edges", "add-node", "reset", "alternate"} {
+		if ops[op] == 0 {
+			t.Fatalf("mutation %q never exercised: %v", op, ops)
+		}
+	}
+	if searched < 200 {
+		t.Fatalf("only %d extractions found an alternative route; generator too sparse", searched)
+	}
+}
+
+// TestDisjointScratchWarmExtractZeroAllocs pins the steady state: on a
+// warmed scratch and an unchanged view, Extract allocates nothing, the
+// cost column included.
+func TestDisjointScratchWarmExtractZeroAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	g := randomConnectedGraph(rng, 139, 4*139)
+	var primary []string
+	for _, dst := range g.ids[1:] {
+		p, _, err := BestTransmissivityPath(g, g.ids[0], dst)
+		if err == nil && len(p) > 2 {
+			primary = p
+			break
+		}
+	}
+	if primary == nil {
+		t.Fatal("no multi-hop primary path")
+	}
+	var ds DisjointScratch
+	paths, err := ds.Extract(g, primary, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) < 2 {
+		t.Fatalf("Extract found %d routes, want an alternative", len(paths))
+	}
+	if allocs := testing.AllocsPerRun(50, func() {
+		if _, err := ds.Extract(g, primary, 4); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("warm Extract allocated %v times, want 0", allocs)
 	}
 }

@@ -119,3 +119,47 @@ func BenchmarkSingleSourceSnapshot108(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkDisjointExtract108 times the protocol layer's route-set
+// extraction (the primary plus up to three vertex-disjoint alternatives)
+// between ground hosts of different networks on real Fig. 7 snapshots (108
+// satellites), cycling through instants across the day on one reused
+// scratch. Each graph's CSR view and cost column are built on its first
+// extraction and reused after, as within one serve step.
+func BenchmarkDisjointExtract108(b *testing.B) {
+	p := qntn.DefaultParams()
+	sc, err := qntn.NewSpaceGround(108, p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	type query struct {
+		g       *routing.Graph
+		primary []string
+	}
+	var queries []query
+	for _, at := range snapshotInstants {
+		g := routing.NewGraph()
+		if err := sc.GraphInto(g, at); err != nil {
+			b.Fatal(err)
+		}
+		for i, a := range sc.LANs {
+			c := sc.LANs[(i+1)%len(sc.LANs)]
+			primary, _, err := routing.BestTransmissivityPath(g, sc.GroundIDs[a.Name][0], sc.GroundIDs[c.Name][0])
+			if err == nil {
+				queries = append(queries, query{g, primary})
+			}
+		}
+	}
+	if len(queries) == 0 {
+		b.Fatal("no routable ground pair in any snapshot")
+	}
+	var ds routing.DisjointScratch
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q := queries[i%len(queries)]
+		if _, err := ds.Extract(q.g, q.primary, 4); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
